@@ -1,10 +1,10 @@
 //! Graphene: the memory-controller-side Misra-Gries tracker used in the
 //! paper's storage comparison (Table IX).
 
+use crate::dense_table::DenseTable;
 use mint_core::{InDramTracker, MitigationDecision};
 use mint_dram::RowId;
 use mint_rng::Rng64;
-use std::collections::HashMap;
 
 /// Configuration of a [`Graphene`] tracker.
 ///
@@ -57,6 +57,10 @@ impl GrapheneConfig {
 /// decision straight from [`on_activation`](InDramTracker::on_activation),
 /// as the MC-side original does with its own refresh commands).
 ///
+/// The table keeps its counters in dense slots beside a `row → slot`
+/// index: an activation costs one index lookup, a spill one linear pass
+/// over the slots.
+///
 /// # Examples
 ///
 /// ```
@@ -76,7 +80,7 @@ impl GrapheneConfig {
 #[derive(Debug, Clone)]
 pub struct Graphene {
     config: GrapheneConfig,
-    table: HashMap<RowId, u64>,
+    table: DenseTable,
 }
 
 impl Graphene {
@@ -94,7 +98,7 @@ impl Graphene {
         );
         Self {
             config,
-            table: HashMap::with_capacity(config.entries),
+            table: DenseTable::with_capacity(config.entries),
         }
     }
 
@@ -107,7 +111,7 @@ impl Graphene {
     /// Tracked count for `row`.
     #[must_use]
     pub fn count(&self, row: RowId) -> Option<u64> {
-        self.table.get(&row).copied()
+        self.table.get(row)
     }
 
     /// Resets the table (Graphene does this every reset window).
@@ -118,10 +122,9 @@ impl Graphene {
 
 impl InDramTracker for Graphene {
     fn on_activation(&mut self, row: RowId, _rng: &mut dyn Rng64) -> Option<MitigationDecision> {
-        if let Some(c) = self.table.get_mut(&row) {
-            *c += 1;
-            if *c >= self.config.mitigation_threshold {
-                self.table.remove(&row);
+        if let Some(c) = self.table.increment(row) {
+            if c >= self.config.mitigation_threshold {
+                self.table.remove(row);
                 return Some(MitigationDecision::Aggressor(row));
             }
             return None;
@@ -131,10 +134,7 @@ impl InDramTracker for Graphene {
             return None;
         }
         // Misra-Gries spill: decrement all, evict zeros.
-        self.table.retain(|_, c| {
-            *c -= 1;
-            *c > 0
-        });
+        self.table.decrement_all();
         None
     }
 
@@ -164,7 +164,7 @@ impl InDramTracker for Graphene {
     }
 
     fn snapshot_state(&self) -> Vec<u64> {
-        crate::table_words::snapshot_table(&self.table)
+        crate::table_words::snapshot_table(self.table.iter())
     }
 
     fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
@@ -175,7 +175,67 @@ impl InDramTracker for Graphene {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mint_exp::prop::{forall, u32_in, u64_in, usize_in};
     use mint_rng::Xoshiro256StarStar;
+    use std::collections::HashMap;
+
+    /// The original Graphene table: a `HashMap` whose spill is one
+    /// `retain`. After every step of random ACT / reset interleavings (with
+    /// one snapshot/restore into a fresh tracker mid-stream) the decision
+    /// and the checkpoint words equal this model's.
+    #[test]
+    fn dense_table_matches_map_model() {
+        forall(48, 0x6A9, |case, prng| {
+            let config = GrapheneConfig {
+                entries: usize_in(prng, 1, 12),
+                mitigation_threshold: u64_in(prng, 2, 12),
+            };
+            let rows = u32_in(prng, 2, 3 * config.entries as u32 + 4);
+            let steps = 1000;
+            let restore_at = usize_in(prng, 0, steps);
+            let mut r = rng(case);
+            let mut fast = Graphene::new(config);
+            let mut model: HashMap<RowId, u64> = HashMap::new();
+            for step in 0..steps {
+                if step == restore_at {
+                    let mut fresh = Graphene::new(config);
+                    fresh.restore_state(&fast.snapshot_state()).unwrap();
+                    fast = fresh;
+                }
+                let row = RowId(u32_in(prng, 0, rows));
+                if u32_in(prng, 0, 500) == 0 {
+                    fast.reset(&mut r);
+                    model.clear();
+                    continue;
+                }
+                let want = if let Some(c) = model.get_mut(&row) {
+                    *c += 1;
+                    let fire = *c >= config.mitigation_threshold;
+                    if fire {
+                        model.remove(&row);
+                    }
+                    fire.then_some(MitigationDecision::Aggressor(row))
+                } else {
+                    if model.len() < config.entries {
+                        model.insert(row, 1);
+                    } else {
+                        model.retain(|_, c| {
+                            *c -= 1;
+                            *c > 0
+                        });
+                    }
+                    None
+                };
+                assert_eq!(
+                    fast.on_activation(row, &mut r),
+                    want,
+                    "case {case} step {step}"
+                );
+                let words = crate::table_words::snapshot_table(model.iter().map(|(r, c)| (*r, *c)));
+                assert_eq!(fast.snapshot_state(), words, "case {case} step {step}");
+            }
+        });
+    }
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)

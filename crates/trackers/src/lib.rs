@@ -24,6 +24,8 @@
 //! \*immune because their direct-attack MinTRH already exceeds what a
 //! transitive attack can deliver (§V-G).
 
+mod counter_table;
+mod dense_table;
 mod graphene;
 mod mithril;
 mod para;

@@ -1,9 +1,9 @@
 //! Mithril: counter-based-summary tracking (paper §II-G).
 
+use crate::counter_table::CounterTable;
 use mint_core::{InDramTracker, MitigationDecision};
 use mint_dram::RowId;
 use mint_rng::Rng64;
-use std::collections::HashMap;
 
 /// Configuration of a [`Mithril`] tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +35,13 @@ impl MithrilConfig {
 /// * Mitigative refreshes are counted like demand activations, so the design
 ///   is immune to transitive attacks.
 ///
+/// The table is a `row → slot` index plus two indexed binary heaps: the
+/// minimum `(count, row)` for replacement, and the maximum count, then the
+/// smallest row, for REF. With `n = entries`, a hit costs one index lookup
+/// and two O(log n) sifts, which stay short unless many entries share the
+/// hit row's count; a miss on a full table and a REF each cost O(log n);
+/// a snapshot costs O(n log n) for the canonical row order.
+///
 /// # Examples
 ///
 /// ```
@@ -54,7 +61,7 @@ impl MithrilConfig {
 pub struct Mithril {
     config: MithrilConfig,
     /// (row → counter); size bounded by `config.entries`.
-    table: HashMap<RowId, u64>,
+    table: CounterTable,
 }
 
 impl Mithril {
@@ -68,14 +75,14 @@ impl Mithril {
         assert!(config.entries > 0, "Mithril needs at least one entry");
         Self {
             config,
-            table: HashMap::with_capacity(config.entries),
+            table: CounterTable::new(config.entries),
         }
     }
 
     /// Stored (over-approximate) count for `row`, if tracked.
     #[must_use]
     pub fn count(&self, row: RowId) -> Option<u64> {
-        self.table.get(&row).copied()
+        self.table.get(row)
     }
 
     /// Number of occupied entries.
@@ -85,30 +92,24 @@ impl Mithril {
     }
 
     fn min_count(&self) -> u64 {
-        if self.table.len() < self.config.entries {
+        if !self.table.is_full() {
             // Space-saving treats unoccupied slots as count 0.
             return 0;
         }
-        self.table.values().copied().min().unwrap_or(0)
+        self.table.min().map_or(0, |(_, count)| count)
     }
 
     fn observe(&mut self, row: RowId) {
-        if let Some(c) = self.table.get_mut(&row) {
-            *c += 1;
+        if self.table.increment(row) {
             return;
         }
-        if self.table.len() < self.config.entries {
+        if !self.table.is_full() {
             self.table.insert(row, 1);
             return;
         }
         // Replace a minimum entry; inherit min + 1.
-        let (&victim, &min) = self
-            .table
-            .iter()
-            .min_by(|a, b| a.1.cmp(b.1).then_with(|| a.0.cmp(b.0)))
-            .expect("table is full, hence non-empty");
-        self.table.remove(&victim);
-        self.table.insert(row, min + 1);
+        let min = self.min_count();
+        self.table.replace_min(row, min + 1);
     }
 }
 
@@ -123,23 +124,13 @@ impl InDramTracker for Mithril {
     }
 
     fn on_refresh(&mut self, _rng: &mut dyn Rng64) -> MitigationDecision {
-        let Some((&row, &max)) = self
-            .table
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-        else {
+        // Stored counts are never zero: a mitigation that would zero an
+        // entry evicts it, and a restore rejects zero counts.
+        let Some((row, max)) = self.table.max() else {
             return MitigationDecision::None;
         };
-        if max == 0 {
-            return MitigationDecision::None;
-        }
         let min = self.min_count();
-        let remaining = max.saturating_sub(min.max(1));
-        if remaining == 0 {
-            self.table.remove(&row);
-        } else {
-            self.table.insert(row, remaining);
-        }
+        self.table.lower_max(max.saturating_sub(min.max(1)));
         MitigationDecision::Aggressor(row)
     }
 
@@ -165,7 +156,7 @@ impl InDramTracker for Mithril {
     }
 
     fn snapshot_state(&self) -> Vec<u64> {
-        crate::table_words::snapshot_table(&self.table)
+        crate::table_words::snapshot_table(self.table.iter())
     }
 
     fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
@@ -176,7 +167,138 @@ impl InDramTracker for Mithril {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mint_exp::prop::{forall, u32_in, usize_in};
     use mint_rng::Xoshiro256StarStar;
+    use std::collections::HashMap;
+
+    /// The original Mithril table: a `HashMap` scanned for the minimum on
+    /// every replacement and for the maximum on every REF. It is the
+    /// reference model the heap table must match decision for decision.
+    struct ScanModel {
+        entries: usize,
+        table: HashMap<RowId, u64>,
+    }
+
+    impl ScanModel {
+        fn new(entries: usize) -> Self {
+            Self {
+                entries,
+                table: HashMap::new(),
+            }
+        }
+
+        fn min_count(&self) -> u64 {
+            if self.table.len() < self.entries {
+                return 0;
+            }
+            self.table.values().copied().min().unwrap_or(0)
+        }
+
+        fn observe(&mut self, row: RowId) {
+            if let Some(c) = self.table.get_mut(&row) {
+                *c += 1;
+                return;
+            }
+            if self.table.len() < self.entries {
+                self.table.insert(row, 1);
+                return;
+            }
+            let (&victim, &min) = self
+                .table
+                .iter()
+                .min_by(|a, b| a.1.cmp(b.1).then_with(|| a.0.cmp(b.0)))
+                .expect("table is full, hence non-empty");
+            self.table.remove(&victim);
+            self.table.insert(row, min + 1);
+        }
+
+        fn on_refresh(&mut self) -> MitigationDecision {
+            let Some((&row, &max)) = self
+                .table
+                .iter()
+                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
+            else {
+                return MitigationDecision::None;
+            };
+            if max == 0 {
+                return MitigationDecision::None;
+            }
+            let min = self.min_count();
+            let remaining = max.saturating_sub(min.max(1));
+            if remaining == 0 {
+                self.table.remove(&row);
+            } else {
+                self.table.insert(row, remaining);
+            }
+            MitigationDecision::Aggressor(row)
+        }
+
+        fn snapshot(&self) -> Vec<u64> {
+            crate::table_words::snapshot_table(self.table.iter().map(|(r, c)| (*r, *c)))
+        }
+    }
+
+    /// Random interleavings of ACT, mitigative refresh, REF and reset, with
+    /// one snapshot/restore into a fresh tracker mid-stream: after every
+    /// step the decision and the checkpoint words equal the scan model's.
+    /// Small row ranges keep `(count, row)` ties frequent.
+    #[test]
+    fn heap_table_matches_scan_model() {
+        for (entries, cases, steps) in [
+            (1, 24, 300),
+            (2, 24, 300),
+            (3, 24, 300),
+            (8, 16, 600),
+            (677, 2, 6000),
+        ] {
+            forall(cases, 0x3417 + entries as u64, |case, prng| {
+                let rows = u32_in(prng, entries as u32 + 1, 2 * entries as u32 + 4);
+                let restore_at = usize_in(prng, 0, steps);
+                let mut r = rng(case);
+                let mut fast = small(entries);
+                let mut model = ScanModel::new(entries);
+                let mut replacements = 0;
+                for step in 0..steps {
+                    if step == restore_at {
+                        let mut fresh = small(entries);
+                        fresh.restore_state(&fast.snapshot_state()).unwrap();
+                        fast = fresh;
+                    }
+                    let row = RowId(u32_in(prng, 0, rows));
+                    let full_miss = model.table.len() == entries && !model.table.contains_key(&row);
+                    match u32_in(prng, 0, 40 * entries as u32) {
+                        0 => {
+                            fast.reset(&mut r);
+                            model.table.clear();
+                        }
+                        k if k % 4 == 0 => {
+                            let got = fast.on_refresh(&mut r);
+                            let want = model.on_refresh();
+                            assert_eq!(got, want, "entries {entries} case {case} step {step}");
+                        }
+                        k if k % 4 == 1 => {
+                            fast.on_mitigative_refresh(row);
+                            model.observe(row);
+                            replacements += usize::from(full_miss);
+                        }
+                        _ => {
+                            assert_eq!(fast.on_activation(row, &mut r), None);
+                            model.observe(row);
+                            replacements += usize::from(full_miss);
+                        }
+                    }
+                    assert_eq!(
+                        fast.snapshot_state(),
+                        model.snapshot(),
+                        "entries {entries} case {case} step {step}"
+                    );
+                    assert_eq!(fast.live_entries(), model.table.len());
+                }
+                // The replacement path (a miss on a full table) ran.
+                assert!(replacements > 0, "entries {entries} case {case}");
+            });
+        }
+    }
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)
@@ -201,7 +323,8 @@ mod tests {
 
     #[test]
     fn space_saving_never_underestimates() {
-        // The stored count of any tracked row is ≥ its true count.
+        // Without REFs, the stored count of any tracked row is ≥ its true
+        // count.
         let mut r = rng(2);
         let mut m = small(3);
         // Churn through many rows to force replacements.
@@ -210,18 +333,14 @@ mod tests {
             let row = RowId(i % 10);
             m.on_activation(row, &mut r);
             *true_counts.entry(row).or_insert(0) += 1;
-            if let Some(stored) = m.count(row) {
-                assert!(
-                    stored >= 1,
-                    "stored count must be positive after observation"
-                );
-            }
+            let stored = m.count(row).expect("the activated row is tracked");
+            assert!(stored >= true_counts[&row], "step {i}: stored {stored}");
         }
         for (row, stored) in m.table.iter() {
-            let true_c = true_counts.get(row).copied().unwrap_or(0);
+            let true_c = true_counts[&row];
             assert!(
-                *stored >= true_c.saturating_sub(0) || *stored >= 1,
-                "stored {stored} vs true {true_c}"
+                stored >= true_c,
+                "row {row:?}: stored {stored} vs true {true_c}"
             );
         }
     }

@@ -1,9 +1,9 @@
 //! PRCT: the idealized Per-Row Counter-Table (paper §II-H).
 
+use crate::dense_table::DenseTable;
 use mint_core::{InDramTracker, MitigationDecision};
 use mint_dram::RowId;
 use mint_rng::Rng64;
-use std::collections::HashMap;
 
 /// The idealized Per-Row Counter-Table: one activation counter per DRAM row,
 /// held in SRAM (impractically large — 128K entries per bank — but the
@@ -23,8 +23,10 @@ use std::collections::HashMap;
 /// attack pushes two final rows to ~623 activations each, so MinTRH-D = 623
 /// (Table III).
 ///
-/// The implementation stores only the non-zero counters in a hash map; the
-/// reported [`entries`](InDramTracker::entries)/storage reflect the modelled
+/// The implementation stores only the non-zero counters, in dense slots
+/// beside a `row → slot` index: an activation costs one index lookup, and
+/// the REF query is one linear pass over the slots. The reported
+/// [`entries`](InDramTracker::entries)/storage reflect the modelled
 /// hardware (one counter per row).
 ///
 /// # Examples
@@ -45,7 +47,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct Prct {
     rows: u32,
-    counters: HashMap<RowId, u64>,
+    counters: DenseTable,
 }
 
 impl Prct {
@@ -59,14 +61,14 @@ impl Prct {
         assert!(rows > 0, "PRCT needs at least one row");
         Self {
             rows,
-            counters: HashMap::new(),
+            counters: DenseTable::default(),
         }
     }
 
     /// Current counter value for `row`.
     #[must_use]
     pub fn count(&self, row: RowId) -> u64 {
-        self.counters.get(&row).copied().unwrap_or(0)
+        self.counters.get(row).unwrap_or(0)
     }
 
     /// Number of rows with a non-zero counter.
@@ -76,16 +78,9 @@ impl Prct {
     }
 
     fn bump(&mut self, row: RowId) {
-        *self.counters.entry(row).or_insert(0) += 1;
-    }
-
-    /// The row with the maximum counter (ties broken towards the smaller
-    /// row id for determinism).
-    fn argmax(&self) -> Option<RowId> {
-        self.counters
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(row, _)| *row)
+        if self.counters.increment(row).is_none() {
+            self.counters.insert(row, 1);
+        }
     }
 }
 
@@ -102,9 +97,11 @@ impl InDramTracker for Prct {
     }
 
     fn on_refresh(&mut self, _rng: &mut dyn Rng64) -> MitigationDecision {
-        match self.argmax() {
-            Some(row) => {
-                self.counters.remove(&row);
+        // The row with the maximum counter, ties broken towards the smaller
+        // row id for determinism.
+        match self.counters.max() {
+            Some((row, _)) => {
+                self.counters.remove(row);
                 MitigationDecision::Aggressor(row)
             }
             None => MitigationDecision::None,
@@ -133,7 +130,7 @@ impl InDramTracker for Prct {
     }
 
     fn snapshot_state(&self) -> Vec<u64> {
-        crate::table_words::snapshot_table(&self.counters)
+        crate::table_words::snapshot_table(self.counters.iter())
     }
 
     fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
@@ -149,7 +146,68 @@ impl InDramTracker for Prct {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mint_exp::prop::{forall, u32_in, usize_in};
     use mint_rng::Xoshiro256StarStar;
+    use std::collections::HashMap;
+
+    /// The original PRCT REF query: a scan of every live counter for the
+    /// maximum, ties towards the smaller row.
+    fn scan_argmax(counters: &HashMap<RowId, u64>) -> Option<RowId> {
+        counters
+            .iter()
+            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
+            .map(|(row, _)| *row)
+    }
+
+    /// Random interleavings of ACT, mitigative refresh, REF and reset, with
+    /// one snapshot/restore into a fresh tracker mid-stream: after every
+    /// step the decision and the checkpoint words equal the scan model's.
+    #[test]
+    fn dense_table_matches_scan_model() {
+        forall(32, 0x9C7, |case, prng| {
+            let rows = u32_in(prng, 2, 300);
+            let steps = 800;
+            let restore_at = usize_in(prng, 0, steps);
+            let mut r = rng(case);
+            let mut fast = Prct::new(rows);
+            let mut model: HashMap<RowId, u64> = HashMap::new();
+            for step in 0..steps {
+                if step == restore_at {
+                    let mut fresh = Prct::new(rows);
+                    fresh.restore_state(&fast.snapshot_state()).unwrap();
+                    fast = fresh;
+                }
+                let row = RowId(u32_in(prng, 0, rows));
+                match u32_in(prng, 0, 400) {
+                    0 => {
+                        fast.reset(&mut r);
+                        model.clear();
+                    }
+                    k if k % 4 == 0 => {
+                        let want = match scan_argmax(&model) {
+                            Some(row) => {
+                                model.remove(&row);
+                                MitigationDecision::Aggressor(row)
+                            }
+                            None => MitigationDecision::None,
+                        };
+                        assert_eq!(fast.on_refresh(&mut r), want, "case {case} step {step}");
+                    }
+                    k if k % 4 == 1 => {
+                        fast.on_mitigative_refresh(row);
+                        *model.entry(row).or_insert(0) += 1;
+                    }
+                    _ => {
+                        assert_eq!(fast.on_activation(row, &mut r), None);
+                        *model.entry(row).or_insert(0) += 1;
+                    }
+                }
+                let words = crate::table_words::snapshot_table(model.iter().map(|(r, c)| (*r, *c)));
+                assert_eq!(fast.snapshot_state(), words, "case {case} step {step}");
+                assert_eq!(fast.live_entries(), model.len());
+            }
+        });
+    }
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)

@@ -1,9 +1,9 @@
 //! ProTRR-style Misra-Gries victim tracking (paper §II-G).
 
+use crate::dense_table::DenseTable;
 use mint_core::{InDramTracker, MitigationDecision};
 use mint_dram::RowId;
 use mint_rng::Rng64;
-use std::collections::HashMap;
 
 /// Configuration of a [`ProTrr`] tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +38,10 @@ impl Default for ProTrrConfig {
 /// 2× to the shared victim's count — ProTRR does not suffer the
 /// counter-doubling weakness of aggressor-counting schemes (§V-F).
 ///
+/// The table keeps its counters in dense slots beside a `row → slot`
+/// index. A tracked victim costs one index lookup; a spill and the REF
+/// query are each one linear pass over the slots.
+///
 /// # Examples
 ///
 /// ```
@@ -61,7 +65,7 @@ impl Default for ProTrrConfig {
 #[derive(Debug, Clone)]
 pub struct ProTrr {
     config: ProTrrConfig,
-    table: HashMap<RowId, u64>,
+    table: DenseTable,
 }
 
 impl ProTrr {
@@ -75,14 +79,14 @@ impl ProTrr {
         assert!(config.entries > 0, "ProTRR needs at least one entry");
         Self {
             config,
-            table: HashMap::with_capacity(config.entries),
+            table: DenseTable::with_capacity(config.entries),
         }
     }
 
     /// Tracked count for a victim row.
     #[must_use]
     pub fn count(&self, victim: RowId) -> Option<u64> {
-        self.table.get(&victim).copied()
+        self.table.get(victim)
     }
 
     /// Number of occupied entries.
@@ -92,8 +96,7 @@ impl ProTrr {
     }
 
     fn insert_victim(&mut self, victim: RowId) {
-        if let Some(c) = self.table.get_mut(&victim) {
-            *c += 1;
+        if self.table.increment(victim).is_some() {
             return;
         }
         if self.table.len() < self.config.entries {
@@ -101,10 +104,7 @@ impl ProTrr {
             return;
         }
         // Misra-Gries: decrement everyone, evict zeros.
-        self.table.retain(|_, c| {
-            *c -= 1;
-            *c > 0
-        });
+        self.table.decrement_all();
     }
 }
 
@@ -124,14 +124,10 @@ impl InDramTracker for ProTrr {
     }
 
     fn on_refresh(&mut self, _rng: &mut dyn Rng64) -> MitigationDecision {
-        let Some((&victim, _)) = self
-            .table
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-        else {
+        let Some((victim, _)) = self.table.max() else {
             return MitigationDecision::None;
         };
-        self.table.remove(&victim);
+        self.table.remove(victim);
         MitigationDecision::VictimRefresh(victim)
     }
 
@@ -157,7 +153,7 @@ impl InDramTracker for ProTrr {
     }
 
     fn snapshot_state(&self) -> Vec<u64> {
-        crate::table_words::snapshot_table(&self.table)
+        crate::table_words::snapshot_table(self.table.iter())
     }
 
     fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
@@ -168,7 +164,123 @@ impl InDramTracker for ProTrr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mint_exp::prop::{forall, u32_in, usize_in};
     use mint_rng::Xoshiro256StarStar;
+    use std::collections::HashMap;
+
+    /// The original ProTRR table: a `HashMap` whose spill is one `retain`
+    /// and whose REF query scans every entry for the maximum. It is the
+    /// reference model the dense table must match decision for decision.
+    struct ScanModel {
+        config: ProTrrConfig,
+        table: HashMap<RowId, u64>,
+        spills: usize,
+    }
+
+    impl ScanModel {
+        fn insert_victim(&mut self, victim: RowId) {
+            if let Some(c) = self.table.get_mut(&victim) {
+                *c += 1;
+                return;
+            }
+            if self.table.len() < self.config.entries {
+                self.table.insert(victim, 1);
+                return;
+            }
+            self.spills += 1;
+            self.table.retain(|_, c| {
+                *c -= 1;
+                *c > 0
+            });
+        }
+
+        fn activate(&mut self, row: RowId) {
+            for victim in row.neighbours(self.config.blast_radius) {
+                self.insert_victim(victim);
+            }
+        }
+
+        fn on_refresh(&mut self) -> MitigationDecision {
+            let Some((&victim, _)) = self
+                .table
+                .iter()
+                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
+            else {
+                return MitigationDecision::None;
+            };
+            self.table.remove(&victim);
+            MitigationDecision::VictimRefresh(victim)
+        }
+
+        fn snapshot(&self) -> Vec<u64> {
+            crate::table_words::snapshot_table(self.table.iter().map(|(r, c)| (*r, *c)))
+        }
+    }
+
+    /// Random interleavings of ACT, mitigative refresh, REF and reset, with
+    /// one snapshot/restore into a fresh tracker mid-stream: after every
+    /// step the decision and the checkpoint words equal the scan model's.
+    #[test]
+    fn dense_table_matches_scan_model() {
+        for (entries, cases, steps) in [(1, 24, 300), (2, 24, 300), (8, 16, 600), (677, 2, 6000)] {
+            forall(cases, 0x7122 + entries as u64, |case, prng| {
+                let config = ProTrrConfig {
+                    entries,
+                    blast_radius: u32_in(prng, 1, 3),
+                };
+                let rows = u32_in(prng, entries as u32 + 2, entries as u32 * 5 / 4 + 8);
+                let restore_at = usize_in(prng, 0, steps);
+                // REFs free slots; fewer of them on a large table keep it
+                // full, so misses spill.
+                let ref_every = 4 + entries as u32 / 16;
+                let mut r = rng(case);
+                let mut fast = ProTrr::new(config);
+                let mut model = ScanModel {
+                    config,
+                    table: HashMap::new(),
+                    spills: 0,
+                };
+                for step in 0..steps {
+                    if step == restore_at {
+                        let mut fresh = ProTrr::new(config);
+                        fresh.restore_state(&fast.snapshot_state()).unwrap();
+                        fast = fresh;
+                    }
+                    let row = RowId(u32_in(prng, 0, rows));
+                    match u32_in(prng, 0, 40 * entries as u32) {
+                        0 => {
+                            fast.reset(&mut r);
+                            model.table.clear();
+                        }
+                        k if k % ref_every == 0 => {
+                            let got = fast.on_refresh(&mut r);
+                            assert_eq!(
+                                got,
+                                model.on_refresh(),
+                                "entries {entries} case {case} step {step}"
+                            );
+                        }
+                        k if k % ref_every == 1 => {
+                            fast.on_mitigative_refresh(row);
+                            model.activate(row);
+                        }
+                        _ => {
+                            assert_eq!(fast.on_activation(row, &mut r), None);
+                            model.activate(row);
+                        }
+                    }
+                    assert_eq!(
+                        fast.snapshot_state(),
+                        model.snapshot(),
+                        "entries {entries} case {case} step {step}"
+                    );
+                    assert_eq!(fast.live_entries(), model.table.len());
+                }
+                // The spill path (a miss on a full table) ran.
+                assert!(model.spills > 0, "entries {entries} case {case}");
+            });
+        }
+    }
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)
@@ -255,6 +367,19 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_entries_rejected() {
         let _ = tracker(0);
+    }
+
+    #[test]
+    fn zero_count_restore_is_rejected() {
+        // A zero count would wrap to u64::MAX on the next Misra-Gries spill
+        // and pin that row as the hottest forever.
+        let mut r = rng(7);
+        let mut t = tracker(1);
+        assert!(t.restore_state(&[1, 5, 0]).is_err());
+        t.on_activation(RowId(40), &mut r);
+        t.on_activation(RowId(60), &mut r);
+        assert!(t.snapshot_state().iter().all(|&w| w < 1 << 32));
+        assert_eq!(t.count(RowId(5)), None);
     }
 
     #[test]
