@@ -8,8 +8,7 @@
 //! diffed byte-for-byte against every retained reference
 //! implementation: the scratch planner, the sorted-vec admission loop,
 //! the unbatched stream generation and the division-based refresh
-//! alignment, plus a quick sat32 throughput cell through its schema
-//! check. Two more legs cover the serving layer: the checked-in specs
+//! alignment. Two more legs cover the serving layer: the checked-in specs
 //! piped through the resident scenario service (streamed JSON-lines
 //! byte-identical at 1 vs 4 workers and vs batch) and a midpoint
 //! checkpoint/restore whose resumed report must match the straight run
@@ -26,9 +25,6 @@
 
 use mint_bench::perf::{perf_json, zoo_perf_summaries};
 use mint_bench::redteam::{patterns, redteam_report, security_json};
-use mint_bench::throughput::{
-    check_throughput_schema, measure_cell, saturation32_cell, throughput_json,
-};
 use mint_memsys::{
     parse_any, set_reference_admission_default, set_reference_generation_default,
     set_reference_planner_default, set_reference_refresh_default, workload_by_name, Checkpoint,
@@ -366,18 +362,6 @@ fn main() {
         );
         println!("oracle[{what}]: BENCH_perf + BENCH_security byte-identical vs reference");
     }
-
-    // The throughput trajectory's arbitration-dominated cell: one quick
-    // sat32 measurement (whose internal asserts re-check all three run
-    // modes agree on the SimResult) rendered and schema-checked exactly
-    // as figx_throughput writes it.
-    let sat32 = measure_cell(&saturation32_cell(true), 1);
-    let json = throughput_json(std::slice::from_ref(&sat32), 1);
-    check_throughput_schema(&json).expect("sat32 throughput payload passes the schema");
-    println!(
-        "throughput: sat32 cell OK ({} requests, schema-checked payload)",
-        sat32.requests
-    );
 
     println!(
         "ci_smoke OK: schedulers, redteam grid, scenario file, telemetry dump, serve stream, \

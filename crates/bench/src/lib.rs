@@ -25,7 +25,6 @@ pub mod params;
 pub mod perf;
 pub mod redteam;
 pub mod security;
-pub mod throughput;
 
 use mint_analysis::{MinTrhSolver, TargetMttf};
 
@@ -60,6 +59,40 @@ pub fn fmt_trh(v: u32) -> String {
 #[must_use]
 pub fn titled(title: &str, body: &str) -> String {
     format!("== {title} ==\n{body}")
+}
+
+/// The checked-in scenario behind perfbench's `sat32` host-throughput
+/// workload, pinned to the arbitration-dominated shape that workload
+/// is meant to time.
+#[cfg(test)]
+mod throughput {
+    mod tests {
+        use mint_memsys::{
+            saturation_spec, MitigationScheme, ScenarioFrontend, ScenarioSpec, SchedulePolicy,
+        };
+
+        const SATURATION32_SCN: &str = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/scenarios/saturation32.scn"
+        );
+
+        #[test]
+        fn sat32_cell_loads_the_checked_in_scenario() {
+            let text = std::fs::read_to_string(SATURATION32_SCN)
+                .unwrap_or_else(|e| panic!("read {SATURATION32_SCN}: {e}"));
+            let spec =
+                ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("{SATURATION32_SCN}: {e}"));
+            assert_eq!(spec.cores, Some(32));
+            assert_eq!(spec.channels.unwrap_or(1), 1);
+            assert_eq!(spec.policy, SchedulePolicy::frfcfs());
+            assert_eq!(spec.scheme, MitigationScheme::Baseline);
+            let ScenarioFrontend::Workload(cell) = &spec.frontend else {
+                panic!("saturation32.scn is a workload cell");
+            };
+            assert_eq!(cell.resolve(32), vec![saturation_spec(); 32]);
+            assert!(spec.requests_per_core > 0);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,12 @@
 //! envelopes.
 //!
 //! The workspace deliberately carries no serde: every artifact
-//! (`BENCH_*.json`, `FIG*_data.json`, `SCENARIO_report.json`) is emitted
-//! with plain `format!` so its byte layout is pinned by tests. The
-//! streaming scenario service (`mint-serve`) needs the other direction
+//! (`BENCH_perf.json`, `BENCH_security.json`, `SCENARIO_report.json` and
+//! the telemetry dumps) is emitted with plain `format!`. Their unit tests
+//! check balanced structure and `"key": value` needles, not the whole
+//! byte layout; whole payloads are compared byte for byte only between
+//! runs (jobs 1 vs N, and optimized vs reference paths in `ci_smoke`).
+//! The streaming scenario service (`mint-serve`) needs the other direction
 //! too — its submit/cancel envelopes arrive as JSON lines — so this
 //! module centralises both halves: [`escape`]/[`quote`] for writers and
 //! [`Json::parse`] for readers.

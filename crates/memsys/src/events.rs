@@ -6,9 +6,9 @@
 //! precharges, elapsed REF boundaries, RFM/DRFM mitigation commands and
 //! every individual victim-refresh activation — into a log that is **off by
 //! default** (the perf sweeps pay nothing for it). The
-//! [`Channel`](crate::Channel) forwards the gate and the drain, and the
-//! runner's [`run_sources_observed`](crate::run_sources_observed) pumps the
-//! drained events into a [`ChannelObserver`] after every scheduling
+//! [`Channel`](crate::Channel) forwards the gate and the drain, and a
+//! [`Sim`](crate::Sim) run with [`Sim::observer`](crate::Sim::observer) set
+//! pumps the drained events into a [`ChannelObserver`] after every scheduling
 //! decision, in service order — so an observer sees exactly the command
 //! sequence the device executed, bit-identically for any worker count.
 //!

@@ -59,7 +59,6 @@ pub mod config;
 pub mod controller;
 pub mod energy;
 pub mod events;
-pub mod runner;
 pub mod scenario;
 pub mod sched;
 pub mod sim;
@@ -76,11 +75,6 @@ pub use controller::{set_reference_refresh_default, MemoryController, ServiceOut
 pub use energy::{EnergyModel, EnergyReport};
 pub use events::{ChannelObserver, MemEvent};
 pub use mint_obs::{Log2Histogram, Section, TelemetryReport, TimeSeries, TELEMETRY_VERSION};
-#[allow(deprecated)]
-pub use runner::{
-    run_sources_observed, run_trace, run_workload, run_workload_grid, run_workload_grid_with,
-    run_workload_with, ObservedRun,
-};
 pub use scenario::{
     parse_any, Scenario, ScenarioFrontend, ScenarioGrid, ScenarioParseError, ScenarioSpec,
     SeedAxis, WorkloadCell,

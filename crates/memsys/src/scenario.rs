@@ -170,8 +170,8 @@ pub enum ScenarioFrontend {
 /// | `mapping` | an [`AddressMapping::parse`] label | `RoBaRaCoCh` |
 /// | `seed` | master seed (u64) | 0 |
 /// | `cores` | request-generating cores (nonzero) | target config's |
-/// | `channels` | memory channels (nonzero power of two) | target config's |
-/// | `ranks` | ranks per channel (nonzero power of two) | target config's |
+/// | `channels` | memory channels (power of two, 1 to [`MAX_CHANNELS`]) | target config's |
+/// | `ranks` | ranks per channel (power of two, 1 to [`MAX_RANKS`]) | target config's |
 /// | `workload` | a [`WorkloadCell`] token | — |
 /// | `requests` | LLC misses per core (workload frontend) | 10000 |
 /// | `trace` | path to a trace file | — |
@@ -259,10 +259,11 @@ impl ScenarioSpec {
                     spec.cores = Some(parse_cores(&value).map_err(&err)?);
                 }
                 "channels" => {
-                    spec.channels = Some(parse_topology("channels", &value).map_err(&err)?);
+                    spec.channels =
+                        Some(parse_topology("channels", &value, MAX_CHANNELS).map_err(&err)?);
                 }
                 "ranks" => {
-                    spec.ranks = Some(parse_topology("ranks", &value).map_err(&err)?);
+                    spec.ranks = Some(parse_topology("ranks", &value, MAX_RANKS).map_err(&err)?);
                 }
                 "workload" => {
                     set_frontend(
@@ -544,10 +545,11 @@ impl ScenarioGrid {
                     grid.cfg.cores = parse_cores(&value).map_err(&err)?;
                 }
                 "channels" => {
-                    grid.cfg.channels = parse_topology("channels", &value).map_err(&err)?;
+                    grid.cfg.channels =
+                        parse_topology("channels", &value, MAX_CHANNELS).map_err(&err)?;
                 }
                 "ranks" => {
-                    grid.cfg.ranks = parse_topology("ranks", &value).map_err(&err)?;
+                    grid.cfg.ranks = parse_topology("ranks", &value, MAX_RANKS).map_err(&err)?;
                 }
                 "seed_base" => {
                     had_seed_base = true;
@@ -741,12 +743,26 @@ fn parse_switch(key: &str, value: &str) -> Result<bool, String> {
     }
 }
 
+/// Largest `channels` a scenario may ask for. Every channel builds its
+/// per-bank engines when the run starts (about 9 KiB each before any
+/// tracker table fills), so an unbounded power of two such as
+/// `channels = 1073741824` aborted the process on a failed allocation
+/// instead of failing here with a line number. 64 is far above the
+/// Table VI single channel and the largest checked-in topology (2 × 2).
+pub const MAX_CHANNELS: u32 = 64;
+
+/// Largest `ranks` per channel a scenario may ask for, for the same
+/// reason as [`MAX_CHANNELS`] (about 5 KiB of up-front state per rank).
+/// With both at their bound a run holds 1024 rank engines.
+pub const MAX_RANKS: u32 = 16;
+
 /// Parses a topology axis (`channels` / `ranks`): a nonzero power of two,
 /// because the decoder slices the physical address with bit masks — any
 /// other count would silently alias banks instead of failing here with a
-/// line number.
-fn parse_topology(key: &str, value: &str) -> Result<u32, String> {
+/// line number — and at most `max` ([`MAX_CHANNELS`] / [`MAX_RANKS`]).
+fn parse_topology(key: &str, value: &str, max: u32) -> Result<u32, String> {
     match value.parse::<u32>() {
+        Ok(n) if n > max => Err(format!("bad {key} {n}: at most {max}")),
         Ok(n) if n.is_power_of_two() => Ok(n),
         Ok(n) => Err(format!("bad {key} {n}: need a nonzero power of two")),
         Err(e) => Err(format!("bad {key} {value:?}: {e}")),
@@ -954,6 +970,8 @@ mod tests {
             ("workload = lbm\nchannels = x\n", 2, "bad channels"),
             ("workload = lbm\nranks = 0\n", 2, "nonzero power of two"),
             ("workload = lbm\nranks = -1\n", 2, "bad ranks"),
+            ("workload = lbm\nchannels = 1073741824\n", 2, "at most 64"),
+            ("workload = lbm\nranks = 32\n", 2, "at most 16"),
             ("workload = nosuch\n", 1, "unknown workload"),
             ("workload = mix99\n", 1, "out of range"),
             ("workload = lbm\nworkload = mcf\n", 2, "duplicate key"),
@@ -1032,6 +1050,19 @@ mod tests {
         let e = ScenarioGrid::parse("schemes = zoo\nworkloads = mcf\nchannels = 6\n").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.reason.contains("nonzero power of two"), "{}", e.reason);
+        for (text, needle) in [
+            ("channels = 1073741824", "at most 64"),
+            ("ranks = 32", "at most 16"),
+        ] {
+            let e = ScenarioGrid::parse(&format!("schemes = zoo\nworkloads = mcf\n{text}\n"))
+                .unwrap_err();
+            assert_eq!(e.line, 3, "{text}");
+            assert!(e.reason.contains(needle), "{text} → {}", e.reason);
+        }
+        let top =
+            ScenarioGrid::parse("schemes = zoo\nworkloads = mcf\nchannels = 64\nranks = 16\n")
+                .unwrap();
+        assert_eq!((top.cfg.channels, top.cfg.ranks), (MAX_CHANNELS, MAX_RANKS));
     }
 
     #[test]

@@ -34,9 +34,10 @@
 //! [`NormalizedPerf`], per-core [`CoreOutcome`]s, the energy breakdown,
 //! and (when captured) the executed command events. Runs are
 //! bit-deterministic for a given builder state: the per-core streams and
-//! the channel derive their RNG substreams from the builder seed exactly
-//! like the legacy entry points did, so `Sim`-built runs are
-//! byte-identical to their pre-redesign equivalents (pinned by
+//! the channel derive their RNG substreams from the builder seed, so the
+//! same builder chain always reproduces the same bytes (pinned against
+//! golden digests by `tests/system_identity.rs`, and against the
+//! declarative [`ScenarioSpec`](crate::ScenarioSpec) layer by
 //! `tests/sim_builder.rs`).
 
 use crate::address::{AddressDecoder, AddressMapping};
@@ -128,10 +129,10 @@ pub struct CoreOutcome {
 
 /// The one result shape every [`Sim`] run returns.
 ///
-/// The legacy entry points returned three different shapes ([`NormalizedPerf`]
-/// alone, `ObservedRun`, or a grid of rows); `RunReport` unifies them:
-/// the aggregate perf, the per-core breakdown, the energy bill, and —
-/// when [`Sim::capture_events`] is set — the executed command stream.
+/// Every frontend (synthetic workload, trace, arbitrary sources, with or
+/// without an observer) returns this shape: the aggregate perf, the
+/// per-core breakdown, the energy bill, and — when
+/// [`Sim::capture_events`] is set — the executed command stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The aggregate result: duration, controller statistics (command

@@ -67,7 +67,7 @@ pub fn workload_by_name(name: &str) -> Option<WorkloadSpec> {
 /// The synthetic saturation workload (`saturate`): MPKI far beyond any
 /// SPEC rate entry, so every core re-arrives the instant it can and the
 /// transaction queue stays pinned at its depth. This is the
-/// arbitration-dominated stress cell of the throughput trajectory
+/// arbitration-dominated stress cell of perfbench's `sat32` workload
 /// (`examples/scenarios/saturation32.scn`); it is *not* part of the
 /// 17-workload evaluation zoo.
 #[must_use]

@@ -1,217 +1,15 @@
-//! Builder-vs-legacy bit identity: the `Sim` redesign must be a pure
-//! refactor of the run surface — for a sample of zoo cells and the
-//! checked-in `sample100.trace`, a `Sim`-built run produces results
-//! byte-identical to the pre-redesign free functions (kept as deprecated
-//! shims exactly so this pin can hold them against the builder), and the
-//! declarative `ScenarioSpec`/`ScenarioGrid` layer deserializes into the
-//! same runs.
-
-#![allow(deprecated)]
+//! The declarative scenario layer is the `Sim` builder as data: a
+//! `ScenarioSpec` cell deserializes into the same run as the builder
+//! chain it describes (synthetic and trace frontends), and every
+//! checked-in `examples/scenarios/*.scn` file parses, with the grid and
+//! trace samples run end to end.
 
 use mint_rh::memsys::{
-    parse_any, read_trace_file, run_sources_observed, run_trace, run_workload, run_workload_grid,
-    run_workload_grid_with, run_workload_with, workload_by_name, AddressDecoder, AddressMapping,
-    CoreStream, MitigationScheme, RequestSource, Scenario, ScenarioGrid, ScenarioSpec,
-    SchedulePolicy, Sim, SystemConfig, WorkloadSpec,
+    parse_any, read_trace_file, saturation_spec, workload_by_name, MitigationScheme, Scenario,
+    ScenarioFrontend, ScenarioSpec, SchedulePolicy, Sim,
 };
-use mint_rh::rng::derive_seed;
 
 const SAMPLE: &str = "examples/traces/sample100.trace";
-
-/// A spread of zoo cells: every backend family (none, in-DRAM, RFM,
-/// MC-sampling, MC-tracker) on a memory-bound and a low-locality
-/// workload.
-fn sample_cells() -> Vec<(MitigationScheme, WorkloadSpec, u64)> {
-    let lbm = workload_by_name("lbm").unwrap();
-    let mcf = workload_by_name("mcf").unwrap();
-    vec![
-        (MitigationScheme::Baseline, lbm, 11),
-        (MitigationScheme::Mint, lbm, 11),
-        (MitigationScheme::MintRfm { rfm_th: 16 }, mcf, 12),
-        (MitigationScheme::McPara { p: 1.0 / 40.0 }, mcf, 13),
-        (MitigationScheme::Graphene, mcf, 14),
-        (MitigationScheme::Prct, lbm, 15),
-    ]
-}
-
-#[test]
-fn builder_matches_legacy_run_workload_bitwise() {
-    let cfg = SystemConfig::table6();
-    for (scheme, w, seed) in sample_cells() {
-        let legacy = run_workload(&cfg, scheme, &[w; 4], 4_000, seed);
-        let report = Sim::new(cfg)
-            .scheme(scheme)
-            .workload(&[w; 4], 4_000)
-            .seed(seed)
-            .run();
-        assert_eq!(
-            report.perf.duration_ps,
-            legacy.duration_ps,
-            "{}: duration differs",
-            scheme.label()
-        );
-        assert_eq!(
-            report.perf.result,
-            legacy.result,
-            "{}: SimResult differs",
-            scheme.label()
-        );
-        assert_eq!(
-            report.perf.normalized.to_bits(),
-            legacy.normalized.to_bits(),
-            "{}: normalized differs bitwise",
-            scheme.label()
-        );
-    }
-}
-
-#[test]
-fn builder_matches_legacy_run_workload_with_nondefaults() {
-    let cfg = SystemConfig::table6();
-    let mcf = workload_by_name("mcf").unwrap();
-    for policy in [
-        SchedulePolicy::Fcfs,
-        SchedulePolicy::FrFcfs { starvation_cap: 2 },
-    ] {
-        for mapping in AddressMapping::all() {
-            let legacy = run_workload_with(
-                &cfg,
-                MitigationScheme::Mint,
-                policy,
-                mapping,
-                &[mcf; 4],
-                2_000,
-                21,
-            );
-            let built = Sim::new(cfg)
-                .scheme(MitigationScheme::Mint)
-                .policy(policy)
-                .mapping(mapping)
-                .workload(&[mcf; 4], 2_000)
-                .seed(21)
-                .run();
-            assert_eq!(built.perf.duration_ps, legacy.duration_ps);
-            assert_eq!(built.perf.result, legacy.result);
-        }
-    }
-}
-
-#[test]
-fn builder_matches_legacy_run_trace_on_sample100() {
-    let cfg = SystemConfig::table6();
-    let entries = read_trace_file(SAMPLE).expect("sample trace parses");
-    for scheme in [MitigationScheme::Baseline, MitigationScheme::Mint] {
-        for policy in [SchedulePolicy::Fcfs, SchedulePolicy::frfcfs()] {
-            let legacy = run_trace(
-                &cfg,
-                scheme,
-                policy,
-                AddressMapping::default(),
-                &entries,
-                42,
-            );
-            let built = Sim::new(cfg)
-                .scheme(scheme)
-                .policy(policy)
-                .trace(&entries)
-                .seed(42)
-                .run();
-            assert_eq!(built.perf.duration_ps, legacy.duration_ps);
-            assert_eq!(built.perf.result, legacy.result);
-            assert_eq!(built.perf.result.requests, 100);
-        }
-    }
-}
-
-#[test]
-fn builder_matches_legacy_run_sources_observed() {
-    // Arbitrary-source frontend: same per-core streams, same budget, via
-    // both surfaces — per-core outcomes included.
-    let cfg = SystemConfig::table6();
-    let mk_sources = |seed: u64| -> Vec<Box<dyn RequestSource>> {
-        let decoder = AddressDecoder::new(&cfg, AddressMapping::default());
-        let lbm = workload_by_name("lbm").unwrap();
-        let mcf = workload_by_name("mcf").unwrap();
-        [lbm, mcf, lbm, mcf]
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                Box::new(CoreStream::new(
-                    *w,
-                    decoder,
-                    w.think_time_ps(&cfg),
-                    derive_seed(seed, i as u64),
-                )) as Box<dyn RequestSource>
-            })
-            .collect()
-    };
-    let legacy = run_sources_observed(
-        &cfg,
-        MitigationScheme::Mint,
-        SchedulePolicy::default(),
-        AddressMapping::default(),
-        mk_sources(5),
-        Some(3_000),
-        5,
-        None,
-    );
-    let built = Sim::new(cfg)
-        .scheme(MitigationScheme::Mint)
-        .sources(mk_sources(5))
-        .per_core_budget(Some(3_000))
-        .seed(5)
-        .run();
-    assert_eq!(built.perf, legacy.perf);
-    assert_eq!(built.cores, legacy.cores);
-}
-
-#[test]
-fn grid_matches_legacy_run_workload_grid_bitwise() {
-    let cfg = SystemConfig::table6();
-    let lbm = workload_by_name("lbm").unwrap();
-    let mcf = workload_by_name("mcf").unwrap();
-    let schemes = [
-        MitigationScheme::Baseline,
-        MitigationScheme::Mint,
-        MitigationScheme::MintRfm { rfm_th: 16 },
-    ];
-    let workloads = [[lbm; 4], [mcf; 4]];
-    let legacy = run_workload_grid(&cfg, &schemes, &workloads, 2_000, &[44, 45]);
-    let grid = ScenarioGrid::new(cfg)
-        .schemes(&schemes)
-        .workloads(&workloads)
-        .requests_per_core(2_000)
-        .seeds(&[44, 45])
-        .run();
-    assert_eq!(legacy.len(), grid.len());
-    for (lr, gr) in legacy.iter().zip(&grid) {
-        for (l, g) in lr.iter().zip(gr) {
-            assert_eq!(l.duration_ps, g.duration_ps);
-            assert_eq!(l.result, g.result);
-            assert_eq!(l.normalized.to_bits(), g.normalized.to_bits());
-        }
-    }
-
-    // The `_with` shim too, off the default policy/mapping.
-    let legacy = run_workload_grid_with(
-        &cfg,
-        &schemes,
-        SchedulePolicy::Fcfs,
-        AddressMapping::RoCoRaBaCh,
-        &workloads[..1],
-        1_000,
-        &[46],
-    );
-    let grid = ScenarioGrid::new(cfg)
-        .schemes(&schemes)
-        .policy(SchedulePolicy::Fcfs)
-        .mapping(AddressMapping::RoCoRaBaCh)
-        .workloads(&workloads[..1])
-        .requests_per_core(1_000)
-        .seeds(&[46])
-        .run();
-    assert_eq!(legacy, grid);
-}
 
 #[test]
 fn scenario_spec_deserializes_into_the_same_run() {
@@ -243,26 +41,63 @@ fn scenario_spec_deserializes_into_the_same_run() {
     assert_eq!(from_spec, direct);
 }
 
+/// Every checked-in scenario file, in directory order.
+const SCENARIO_FILES: &[&str] = &[
+    "dimm_multichannel.scn",
+    "saturation32.scn",
+    "trace_mint.scn",
+    "zoo_small.scn",
+];
+
 #[test]
 fn checked_in_scenario_file_runs_as_a_grid() {
-    let text = std::fs::read_to_string("examples/scenarios/zoo_small.scn").unwrap();
-    let Scenario::Grid(grid) = parse_any(&text).unwrap() else {
-        panic!("zoo_small.scn must parse as a grid");
-    };
-    assert_eq!(grid.schemes.len(), 3);
-    assert_eq!(grid.workload_labels, vec!["lbm", "mcf"]);
-    let rows = grid.run();
-    assert_eq!(rows.len(), 2);
-    assert!((rows[0][0].normalized - 1.0).abs() < 1e-12, "baseline row");
-    // MINT rides REF time: identical timeline to Baseline on every row.
-    for row in &rows {
-        assert_eq!(row[0].duration_ps, row[1].duration_ps);
+    // The table must name every shipped `.scn`, so a new sample cannot
+    // skip this parse.
+    let mut shipped: Vec<String> = std::fs::read_dir("examples/scenarios")
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".scn"))
+        .collect();
+    shipped.sort();
+    assert_eq!(
+        shipped, SCENARIO_FILES,
+        "SCENARIO_FILES must list every .scn"
+    );
+    for &name in SCENARIO_FILES {
+        let path = format!("examples/scenarios/{name}");
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let parsed = parse_any(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        match (name, parsed) {
+            ("dimm_multichannel.scn", Scenario::Grid(grid)) => {
+                assert_eq!((grid.cfg.channels, grid.cfg.ranks), (2, 2));
+            }
+            ("saturation32.scn", Scenario::Cell(spec)) => {
+                assert_eq!(spec.cores, Some(32));
+                assert_eq!(spec.channels, None, "one channel");
+                assert_eq!(spec.scheme, MitigationScheme::Baseline);
+                assert_eq!(spec.policy, SchedulePolicy::frfcfs());
+                let ScenarioFrontend::Workload(cell) = &spec.frontend else {
+                    panic!("saturation32.scn is a workload cell");
+                };
+                assert_eq!(cell.resolve(32), vec![saturation_spec(); 32]);
+            }
+            ("trace_mint.scn", Scenario::Cell(spec)) => {
+                let report = spec.run().unwrap();
+                assert_eq!(report.perf.result.requests, 100);
+            }
+            ("zoo_small.scn", Scenario::Grid(grid)) => {
+                assert_eq!(grid.schemes.len(), 3);
+                assert_eq!(grid.workload_labels, vec!["lbm", "mcf"]);
+                let rows = grid.run();
+                assert_eq!(rows.len(), 2);
+                assert!((rows[0][0].normalized - 1.0).abs() < 1e-12, "baseline row");
+                // MINT rides REF time: identical timeline to Baseline on
+                // every row.
+                for row in &rows {
+                    assert_eq!(row[0].duration_ps, row[1].duration_ps);
+                }
+            }
+            _ => panic!("{name} parsed as the wrong shape (grid vs cell)"),
+        }
     }
-
-    let cell = std::fs::read_to_string("examples/scenarios/trace_mint.scn").unwrap();
-    let Scenario::Cell(spec) = parse_any(&cell).unwrap() else {
-        panic!("trace_mint.scn must parse as a single cell");
-    };
-    let report = spec.run().unwrap();
-    assert_eq!(report.perf.result.requests, 100);
 }
