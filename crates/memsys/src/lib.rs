@@ -90,6 +90,7 @@ pub use telemetry::{EngineTelemetry, SchedTelemetry, SessionTelemetry};
 
 pub use timing::{InterBankTiming, TimingState};
 pub use workload::{
-    mixes, parse_trace, read_trace_file, saturation_spec, spec_rate_workloads, workload_by_name,
-    CoreStream, Request, RequestSource, TraceEntry, TraceParseError, TraceSource, WorkloadSpec,
+    mixes, parse_trace, parse_trace_for, read_trace_file, saturation_spec, spec_rate_workloads,
+    workload_by_name, CoreStream, Request, RequestSource, TraceEntry, TraceParseError, TraceSource,
+    WorkloadSpec,
 };

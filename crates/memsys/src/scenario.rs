@@ -32,10 +32,10 @@
 //! [`ScenarioGrid::parse`]. [`parse_any`] classifies a file as one or the
 //! other, which is what the `run_scenario` bench binary feeds on.
 
-use crate::address::AddressMapping;
+use crate::address::{AddressDecoder, AddressMapping};
 use crate::config::{MitigationScheme, SystemConfig};
 use crate::sim::{NormalizedPerf, RunReport, Sim};
-use crate::workload::{mixes, read_trace_file, workload_by_name, WorkloadSpec};
+use crate::workload::{mixes, parse_trace_for, workload_by_name, WorkloadSpec};
 use std::fmt;
 
 /// A malformed scenario line.
@@ -152,8 +152,9 @@ impl WorkloadCell {
 pub enum ScenarioFrontend {
     /// Synthetic per-core streams from a [`WorkloadCell`].
     Workload(WorkloadCell),
-    /// A plain-text trace file ([`read_trace_file`]), dealt round-robin
-    /// across the cores.
+    /// A plain-text trace file ([`parse_trace`](crate::parse_trace)
+    /// format), dealt round-robin across the cores. Every address must
+    /// decode on the cell's topology.
     Trace(String),
 }
 
@@ -169,7 +170,7 @@ pub enum ScenarioFrontend {
 /// | `policy` | a [`SchedulePolicy::parse`] label | FR-FCFS |
 /// | `mapping` | an [`AddressMapping::parse`] label | `RoBaRaCoCh` |
 /// | `seed` | master seed (u64) | 0 |
-/// | `cores` | request-generating cores (nonzero) | target config's |
+/// | `cores` | request-generating cores (1 to [`MAX_CORES`]) | target config's |
 /// | `channels` | memory channels (power of two, 1 to [`MAX_CHANNELS`]) | target config's |
 /// | `ranks` | ranks per channel (power of two, 1 to [`MAX_RANKS`]) | target config's |
 /// | `workload` | a [`WorkloadCell`] token | — |
@@ -328,7 +329,8 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns I/O and parse errors for a trace frontend whose file is
-    /// unreadable or malformed.
+    /// unreadable or malformed, or holds an address beyond the
+    /// topology's capacity (the error names the trace line).
     pub fn to_sim(&self, cfg: SystemConfig) -> Result<Sim<'static>, Box<dyn std::error::Error>> {
         let mut cfg = cfg;
         if let Some(cores) = self.cores {
@@ -352,7 +354,11 @@ impl ScenarioSpec {
             ScenarioFrontend::Workload(cell) => {
                 sim.workload(&cell.resolve(cfg.cores), self.requests_per_core)
             }
-            ScenarioFrontend::Trace(path) => sim.trace(&read_trace_file(path)?),
+            ScenarioFrontend::Trace(path) => {
+                let text = std::fs::read_to_string(path)?;
+                let decoder = AddressDecoder::new(&cfg, self.mapping);
+                sim.trace(&parse_trace_for(&text, &decoder)?)
+            }
         })
     }
 
@@ -379,9 +385,10 @@ impl ScenarioSpec {
 /// The text form shares the [`ScenarioSpec`] conventions with plural
 /// axes: `schemes = <label>…` (or `zoo`), `workloads = <cell>…`,
 /// `requests = N`, `cores = N` / `channels = N` / `ranks = R` topology
-/// overrides (cores nonzero, the rest nonzero powers of two), and either
-/// `seed_base = N` (workload `w`
-/// seeds at `seed_base + w`) or an explicit `seeds = <u64>…` list.
+/// overrides (cores 1 to [`MAX_CORES`], the rest powers of two up to
+/// [`MAX_CHANNELS`] / [`MAX_RANKS`]), and either `seed_base = N`
+/// (workload `w` seeds at `seed_base + w`) or an explicit
+/// `seeds = <u64>…` list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioGrid {
     /// The system under test.
@@ -722,13 +729,22 @@ fn parse_requests(value: &str) -> Result<u32, String> {
     }
 }
 
-/// Parses a `cores` value: any nonzero count — cores are request
-/// generators, not address bits, so unlike `channels`/`ranks` they need
-/// not be a power of two (mixes still demand exactly one spec per core,
-/// checked when the workload cell resolves).
+/// Largest `cores` a scenario may ask for. Every core owns a request
+/// stream and an arrival slot that the run builds up front, so an
+/// unbounded count such as `cores = 4000000000` would exhaust memory
+/// instead of failing here with a line number. 1024 is far above the
+/// largest checked-in use (`saturation32.scn`, 32 cores).
+pub const MAX_CORES: u32 = 1024;
+
+/// Parses a `cores` value: a nonzero count up to [`MAX_CORES`] — cores
+/// are request generators, not address bits, so unlike
+/// `channels`/`ranks` they need not be a power of two (mixes still
+/// demand exactly one spec per core, checked when the workload cell
+/// resolves).
 fn parse_cores(value: &str) -> Result<u32, String> {
     match value.parse::<u32>() {
         Ok(0) => Err("bad cores 0: need at least one core".to_owned()),
+        Ok(n) if n > MAX_CORES => Err(format!("bad cores {n}: at most {MAX_CORES}")),
         Ok(n) => Ok(n),
         Err(e) => Err(format!("bad cores {value:?}: {e}")),
     }
@@ -966,6 +982,8 @@ mod tests {
             ("workload = lbm\nrequests = 0\n", 2, "at least 1 per core"),
             ("workload = lbm\ncores = 0\n", 2, "at least one core"),
             ("workload = lbm\ncores = x\n", 2, "bad cores"),
+            ("workload = lbm\ncores = 1025\n", 2, "at most 1024"),
+            ("workload = lbm\ncores = 4294967295\n", 2, "at most 1024"),
             ("workload = lbm\nchannels = 3\n", 2, "nonzero power of two"),
             ("workload = lbm\nchannels = x\n", 2, "bad channels"),
             ("workload = lbm\nranks = 0\n", 2, "nonzero power of two"),
@@ -1053,6 +1071,7 @@ mod tests {
         for (text, needle) in [
             ("channels = 1073741824", "at most 64"),
             ("ranks = 32", "at most 16"),
+            ("cores = 1025", "at most 1024"),
         ] {
             let e = ScenarioGrid::parse(&format!("schemes = zoo\nworkloads = mcf\n{text}\n"))
                 .unwrap_err();
@@ -1063,6 +1082,10 @@ mod tests {
             ScenarioGrid::parse("schemes = zoo\nworkloads = mcf\nchannels = 64\nranks = 16\n")
                 .unwrap();
         assert_eq!((top.cfg.channels, top.cfg.ranks), (MAX_CHANNELS, MAX_RANKS));
+        let most = ScenarioGrid::parse("schemes = zoo\nworkloads = mcf\ncores = 1024\n").unwrap();
+        assert_eq!(most.cfg.cores, MAX_CORES);
+        let cell = ScenarioSpec::parse("workload = saturate\ncores = 1024\n").unwrap();
+        assert_eq!(cell.cores, Some(MAX_CORES), "the bound itself is accepted");
     }
 
     #[test]
@@ -1076,6 +1099,24 @@ mod tests {
             4 * 10,
             "the overridden sim runs"
         );
+    }
+
+    #[test]
+    fn trace_addresses_beyond_the_topology_are_an_error_not_a_panic() {
+        let path = std::env::temp_dir().join(format!(
+            "mint_scenario_out_of_range_{}.trace",
+            std::process::id()
+        ));
+        std::fs::write(&path, "10 R 0x40\n5 R 0xFFFFFFFFFFFF0000\n").unwrap();
+        let spec = ScenarioSpec::parse(&format!("trace = {}\n", path.display())).unwrap();
+        let err = spec
+            .to_sim(SystemConfig::table6())
+            .err()
+            .map(|e| e.to_string());
+        std::fs::remove_file(&path).unwrap();
+        let err = err.expect("an out-of-range address is refused");
+        assert!(err.starts_with("trace line 2:"), "{err}");
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]

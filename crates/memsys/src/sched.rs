@@ -15,6 +15,20 @@
 //! minimum. Because every step issues the earliest-startable transaction,
 //! command times are monotone — which keeps the rolling timing windows
 //! honest and the whole pipeline bit-deterministic for any worker count.
+//!
+//! The default planner makes one pass per decision. Every queued
+//! transaction has a pure floor `max(arrival, bank_ready)`, a lower bound
+//! on its earliest start; floor and bank sit beside the slot index in the
+//! dense `active` list, and the clock is applied lazily as
+//! `max(clock, floor)`. A pass seeds its running minimum with the smallest
+//! floor, prices only the transactions whose floor does not exceed the
+//! running minimum, and records the *achiever set*: the transactions whose
+//! start equals the planned minimum. A service then touches only the
+//! achievers (FR-FCFS starvation accounting) and the serviced bank's
+//! transactions (new floor, stale start cache), and finds the next pass's
+//! seed in the same dense loop. The scratch reference planner
+//! ([`Channel::set_reference_planner`]) recomputes every start on every
+//! decision and is kept as the differential-testing oracle.
 
 use crate::address::{AddressDecoder, AddressMapping, DecodedAddr};
 use crate::config::{MitigationScheme, SystemConfig};
@@ -127,34 +141,26 @@ struct Transaction {
 /// Slots are stable: a transaction keeps its index for its whole queue
 /// residency, service frees the slot onto a free list in O(1), and FCFS
 /// order lives in the age key `(arrival_ps, id)` rather than in storage
-/// order. Each slot also carries the incremental planner's cache: the
-/// transaction's earliest start and predicted CAS offset, plus a dirty
-/// bit cleared whenever the slot's bank is serviced.
+/// order. Each slot also carries the planner's start cache: the
+/// transaction's last computed earliest start and CAS offset, plus a
+/// `fresh` bit cleared whenever the slot's bank is serviced. The floor
+/// and bank that every pass scans live in the channel's dense arrays
+/// instead, so a pass reads a slot only when its floor makes it a
+/// candidate.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    occupied: bool,
-    /// This slot's position in the channel's dense `active` index list
-    /// (meaningful only while occupied; maintained by push/service).
+    /// This slot's position in the channel's dense `active` list
+    /// (maintained by push/service while queued).
     active_pos: u32,
     /// Bank inputs (ready time, open row) unchanged since `start_ps` was
     /// cached; the global clock/ACT/CAS/REF horizons are revalidated
     /// cheaply at plan time instead of being tracked eagerly.
     fresh: bool,
-    /// Whether the latest planning pass left `start_ps` exact (computed
-    /// or revalidated). Slots whose pure floor already exceeded the
-    /// running minimum are skipped and marked inexact — they are provably
-    /// not candidates, so neither arbitration nor starvation accounting
-    /// may read their stale starts.
-    exact: bool,
-    /// Cached earliest start (exact only when `exact` is set).
+    /// Earliest start as last computed. Only [`PlanCtx::reusable`] may
+    /// trust it; it is exact for the achievers of the cached plan.
     start_ps: u64,
     /// Cached CAS offset: 0 = predicted row hit, tRP + tRCD = miss.
     cas_off_ps: u64,
-    /// The pure floor `max(clock, arrival, bank_ready)` — a lower bound
-    /// on the true earliest start, maintained incrementally: set at
-    /// admission, raised to the new clock after every service (plus a
-    /// bank-ready recompute for the serviced bank's slots).
-    base_ps: u64,
     tx: Transaction,
 }
 
@@ -243,18 +249,18 @@ struct PlanCtx<'a> {
 
 impl PlanCtx<'_> {
     /// Whether a slot's cached start is provably still the scratch
-    /// answer: bank inputs unchanged (`fresh`), the pure floor
+    /// answer: bank inputs unchanged (`fresh`), the pure floor `base`
     /// (clock/arrival/bank-ready pushed past REF) still lands exactly on
     /// it, and the global ACT/CAS horizons do not move it. A cached start
     /// *above* the pure floor was shaped by a rolling horizon that has
     /// since advanced (possibly opening an earlier slot), so it is
     /// recomputed rather than trusted.
     #[inline]
-    fn reusable(&self, slot: &Slot) -> bool {
+    fn reusable(&self, slot: &Slot, base: u64) -> bool {
         if !slot.fresh || !self.wins.fast {
             return false;
         }
-        if slot.start_ps != self.wins.adjust(self.cfg, slot.base_ps) {
+        if slot.start_ps != self.wins.adjust(self.cfg, base) {
             return false;
         }
         if slot.start_ps >= self.quiet_ps {
@@ -300,17 +306,18 @@ impl PlanCtx<'_> {
         (t, cas_off)
     }
 
-    /// Leaves `slot` with an exact start for this pass: revalidates the
-    /// cache or recomputes from `slot.base_ps`, and marks the slot exact.
+    /// Leaves `slot` with an exact start for this pass — the cache
+    /// revalidated, or recomputed from the pure floor `base` — and
+    /// returns it.
     #[inline]
-    fn refresh(&self, slot: &mut Slot) {
-        if !self.reusable(slot) {
-            let (s, off) = self.compute(&slot.tx, slot.base_ps);
+    fn refresh(&self, slot: &mut Slot, base: u64) -> u64 {
+        if !self.reusable(slot, base) {
+            let (s, off) = self.compute(&slot.tx, base);
             slot.start_ps = s;
             slot.cas_off_ps = off;
         }
         slot.fresh = true;
-        slot.exact = true;
+        slot.start_ps
     }
 }
 
@@ -333,6 +340,12 @@ pub struct Completion {
 /// A single-channel, command-level DDR5 memory pipeline: bounded
 /// transaction queue → schedule policy → inter-bank timing → per-bank
 /// engine (with mitigation backends).
+///
+/// The queue is a slab of `Slot`s indexed by the dense `active` list,
+/// whose `Live` entries also carry each transaction's floor and bank.
+/// A planning pass and a service each walk that list once and read a
+/// `Slot` only for a candidate, an achiever of the planned minimum, or a
+/// transaction of the serviced bank.
 #[derive(Debug)]
 pub struct Channel {
     cfg: SystemConfig,
@@ -344,11 +357,20 @@ pub struct Channel {
     slots: Vec<Slot>,
     /// Indices of vacated slots, reused before the slab grows.
     free: Vec<u32>,
-    /// Dense, unordered list of the occupied slot indices: every planner
-    /// scan walks exactly the live transactions, however large the slab
+    /// Dense, unordered list of the live transactions (see [`Live`]):
+    /// every planner scan walks exactly these, however large the slab
     /// has historically grown. Service removes by swap (order is
     /// irrelevant — arbitration is key-based).
-    active: Vec<u32>,
+    active: Vec<Live>,
+    /// Position in `active` of the first smallest floor: the slot a pass
+    /// prices first, so its running minimum starts low and most floors
+    /// skip. Kept by push and by the service's dense loop.
+    seed_pos: u32,
+    /// The slots whose start equals the cached plan's start (the pick
+    /// among them): recorded by every pass and by push adoption, read by
+    /// the next service for starvation accounting. Meaningful only while
+    /// `plan_cache` is set.
+    achievers: Vec<u32>,
     next_id: u64,
     /// Issue time of the most recent decision (command times are
     /// monotone).
@@ -363,12 +385,12 @@ pub struct Channel {
     /// division runs once per tREFI of simulated time, not once per
     /// decision.
     wins: RefWindows,
-    /// The active slot with the smallest floor (`base_ps`, slot index),
-    /// maintained by push/service so a planning pass can seed its
-    /// running minimum without rescanning every floor.
-    seed_hint: Option<(u64, u32)>,
     /// Full planning passes run so far (cache hits don't count).
     plans_computed: u64,
+    /// Slots whose start a planning pass revalidated or recomputed — the
+    /// planner's deterministic work count (a pass prices only the slots
+    /// its floor test cannot rule out; the reference planner prices all).
+    slots_examined: u64,
     /// Scheduler telemetry (decision counters, queue-depth/wait
     /// histograms); only fed when
     /// [`enable_telemetry`](Self::enable_telemetry) was called.
@@ -382,19 +404,33 @@ pub struct Channel {
     reference_refresh: bool,
 }
 
-/// One computed scheduling decision: which slot and when. The per-slot
-/// earliest starts that starvation accounting needs live in the slot
-/// caches, which every planning pass leaves current.
+/// One entry of the channel's dense `active` list: a queued slot and the
+/// two fields every pass and service scan, kept out of the slot so the
+/// scans stay on contiguous memory.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    /// The pure floor `max(arrival, bank_ready)`: a lower bound on the
+    /// transaction's earliest start once the clock is applied. Set at
+    /// push, recomputed when its bank is serviced.
+    floor_ps: u64,
+    /// The transaction's channel-local bank.
+    bank: u32,
+    /// Its slab index.
+    slot: u32,
+}
+
+/// One computed scheduling decision: which slot and when. The other
+/// transactions that could start then — which starvation accounting
+/// needs — are the channel's `achievers`.
 #[derive(Debug, Clone, Copy)]
 struct Plan {
     slot: usize,
     start_ps: u64,
 }
 
-/// The arbitration fronts of one planning pass: the oldest achiever of
-/// the running minimum overall, among predicted row hits, and among
-/// starved transactions (FR-FCFS only). Rebuilt from scratch whenever
-/// the running minimum drops.
+/// The arbitration fronts over one achiever set: the oldest achiever
+/// overall, among predicted row hits, and among starved transactions
+/// (FR-FCFS only).
 #[derive(Debug, Default, Clone, Copy)]
 struct Bests {
     all: Option<((u64, u64), usize)>,
@@ -441,12 +477,14 @@ impl Channel {
             slots: Vec::with_capacity(cfg.queue_depth as usize),
             free: Vec::with_capacity(cfg.queue_depth as usize),
             active: Vec::with_capacity(cfg.queue_depth as usize),
+            seed_pos: 0,
+            achievers: Vec::new(),
             next_id: 0,
             clock_ps: 0,
             plan_cache: None,
             wins: RefWindows::at(&cfg, 0),
-            seed_hint: None,
             plans_computed: 0,
+            slots_examined: 0,
             telemetry: None,
             reference: REFERENCE_PLANNER_DEFAULT.load(Ordering::SeqCst),
             reference_refresh: crate::controller::reference_refresh_default(),
@@ -472,6 +510,16 @@ impl Channel {
     #[must_use]
     pub fn plans_computed(&self) -> u64 {
         self.plans_computed
+    }
+
+    /// Slots whose earliest start a planning pass revalidated or
+    /// recomputed, summed over every pass so far. Deterministic and
+    /// host-independent: the planner's work count. An incremental pass
+    /// skips every slot whose floor already exceeds the running minimum;
+    /// the reference planner prices the whole queue.
+    #[must_use]
+    pub fn slots_examined(&self) -> u64 {
+        self.slots_examined
     }
 
     /// The arbitration policy in force.
@@ -564,10 +612,11 @@ impl Channel {
     /// usually settles this without the exact fixpoint. Strictly
     /// earlier: every older transaction starts at/after the old planned
     /// start, so the newcomer is the *unique* new minimum and simply
-    /// becomes the plan. Only an exact tie (which reopens arbitration)
-    /// forces a replanning pass. Without a cached plan nothing is
-    /// computed at all: the next pass prices every slot anyway (and may
-    /// skip this one entirely by its floor).
+    /// becomes the plan, with itself as the only achiever. Only an exact
+    /// tie (which reopens arbitration) forces a replanning pass. Without
+    /// a cached plan nothing is computed at all: the next pass prices
+    /// every candidate anyway (and may skip this one entirely by its
+    /// floor).
     ///
     /// # Panics
     ///
@@ -586,18 +635,14 @@ impl Channel {
             bypassed: 0,
         };
         self.next_id += 1;
-        let base_ps = self
-            .clock_ps
-            .max(arrival_ps)
-            .max(self.engine.bank_ready_ps(tx.bank));
+        let floor = arrival_ps.max(self.engine.bank_ready_ps(tx.bank));
+        let base_ps = self.clock_ps.max(floor);
+        let pos = self.active.len();
         let mut slot = Slot {
-            occupied: true,
-            active_pos: self.active.len() as u32,
+            active_pos: pos as u32,
             fresh: false,
-            exact: false,
             start_ps: 0,
             cas_off_ps: 0,
-            base_ps,
             tx,
         };
         // The newcomer's start when it beats the cached plan outright
@@ -645,15 +690,21 @@ impl Channel {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.active.push(idx);
-        if self.seed_hint.map_or(true, |(b, _)| base_ps < b) {
-            self.seed_hint = Some((base_ps, idx));
+        if pos == 0 || floor < self.active[self.seed_pos as usize].floor_ps {
+            self.seed_pos = pos as u32;
         }
+        self.active.push(Live {
+            floor_ps: floor,
+            bank: tx.bank,
+            slot: idx,
+        });
         if let Some(start_ps) = adopt {
             self.plan_cache = Some(Plan {
                 slot: idx as usize,
                 start_ps,
             });
+            self.achievers.clear();
+            self.achievers.push(idx);
         }
     }
 
@@ -712,15 +763,16 @@ impl Channel {
         self.plan_cache
     }
 
-    /// Computes the next scheduling decision incrementally and
-    /// allocation-free. Per-slot pure floors `max(clock, arrival,
-    /// bank_ready)` — lower bounds on the true earliest starts — are
-    /// maintained incrementally by push/service, as is the slot with the
-    /// smallest floor; the pass seeds its running minimum by refreshing
-    /// that slot, then walks the queue once, skipping every slot whose
-    /// floor is already strictly above the running minimum (provably not
-    /// a candidate), revalidating or recomputing the rest, and folding
-    /// the policy arbitration over the minimum's achievers as it goes.
+    /// Computes the next scheduling decision in one allocation-free pass
+    /// over the dense `active` list. The pass seeds its running minimum by
+    /// pricing the slot with the smallest floor, then skips every slot
+    /// whose floor is already strictly above the running minimum
+    /// (provably not a candidate: its start is at least its floor),
+    /// revalidates or recomputes the rest, and collects the achievers of
+    /// the minimum — restarting the set whenever the minimum drops — while
+    /// folding the policy arbitration over them. Floors carry no clock;
+    /// the running minimum never falls below the clock, so comparing the
+    /// raw floor is the same test as comparing `max(clock, floor)`.
     fn compute_plan(&mut self) -> Option<Plan> {
         self.plans_computed += 1;
         if self.active.is_empty() {
@@ -734,45 +786,46 @@ impl Channel {
             wins,
             quiet_ps: self.timing.quiet_ps(),
         };
-        let (_, seed_idx) = self
-            .seed_hint
-            .map(|(b, i)| (b, i as usize))
-            .expect("a non-empty active list always carries a seed hint");
-        let mut t_min = {
-            let slot = &mut self.slots[seed_idx];
-            ctx.refresh(slot);
-            slot.start_ps
-        };
-        // Arbitration folds into the refresh scan: the minimum's achiever
-        // set is rebuilt whenever the running minimum drops, so one pass
-        // both prices the queue and picks the winner. Age keys
-        // `(arrival_ps, id)` are unique and scan-order independent, so
-        // slab order never leaks into the decision. A starved transaction
-        // outranks the hit set even when it is itself a hit, matching
-        // the reference's starved-first precedence.
+        let clock = self.clock_ps;
+        let seed = self.seed_pos as usize;
+        let Live {
+            floor_ps: seed_floor,
+            slot: seed_idx,
+            ..
+        } = self.active[seed];
+        let mut t_min = ctx.refresh(&mut self.slots[seed_idx as usize], clock.max(seed_floor));
+        self.achievers.clear();
+        self.achievers.push(seed_idx);
+        // Age keys `(arrival_ps, id)` are unique, so the achievers' order
+        // never leaks into the decision. A starved transaction outranks
+        // the hit set even when it is itself a hit, matching the
+        // reference's starved-first precedence.
         let mut bests = Bests::default();
-        bests.consider(self.policy, &self.slots[seed_idx], seed_idx);
-        for &i in &self.active {
-            if i as usize == seed_idx {
+        bests.consider(
+            self.policy,
+            &self.slots[seed_idx as usize],
+            seed_idx as usize,
+        );
+        let mut examined = 1u64;
+        for (k, live) in self.active.iter().enumerate() {
+            if live.floor_ps > t_min || k == seed {
                 continue;
             }
+            examined += 1;
+            let i = live.slot;
             let slot = &mut self.slots[i as usize];
-            if slot.base_ps > t_min {
-                // The floor alone puts this slot strictly after the
-                // minimum: no exact start needed, and the stale cache must
-                // not be mistaken for one.
-                slot.exact = false;
-                continue;
-            }
-            ctx.refresh(slot);
-            if slot.start_ps < t_min {
-                t_min = slot.start_ps;
+            let start = ctx.refresh(slot, clock.max(live.floor_ps));
+            if start < t_min {
+                t_min = start;
+                self.achievers.clear();
                 bests = Bests::default();
-                bests.consider(self.policy, &self.slots[i as usize], i as usize);
-            } else if slot.start_ps == t_min {
-                bests.consider(self.policy, &self.slots[i as usize], i as usize);
+            }
+            if start == t_min {
+                self.achievers.push(i);
+                bests.consider(self.policy, slot, i as usize);
             }
         }
+        self.slots_examined += examined;
         let pick = match self.policy {
             SchedulePolicy::Fcfs => bests.all,
             SchedulePolicy::FrFcfs { .. } => bests.starved.or(bests.hit).or(bests.all),
@@ -789,19 +842,20 @@ impl Channel {
     /// the differential-testing oracle for [`compute_plan`](Self::compute_plan)
     /// — the `sched_oracle` prop test and `ci_smoke`'s byte-equality leg
     /// pin the two paths to identical decisions. Also refreshes the slot
-    /// caches (starvation accounting reads them after any planner).
+    /// caches and records its candidates as the achievers (starvation
+    /// accounting reads them after any planner).
     fn compute_plan_scratch(&mut self) -> Option<Plan> {
         self.plans_computed += 1;
+        self.slots_examined += self.active.len() as u64;
         let mut t_min = u64::MAX;
         for k in 0..self.active.len() {
-            let i = self.active[k] as usize;
+            let i = self.active[k].slot as usize;
             let tx = self.slots[i].tx;
             let (s, off) = self.earliest_start_scratch(&tx);
             let slot = &mut self.slots[i];
             slot.start_ps = s;
             slot.cas_off_ps = off;
             slot.fresh = true;
-            slot.exact = true;
             t_min = t_min.min(s);
         }
         if t_min == u64::MAX {
@@ -811,7 +865,7 @@ impl Channel {
         let candidates: Vec<usize> = self
             .active
             .iter()
-            .map(|&i| i as usize)
+            .map(|live| live.slot as usize)
             .filter(|&i| self.slots[i].start_ps == t_min)
             .collect();
         let age_key = |i: usize| (self.slots[i].tx.arrival_ps, self.slots[i].tx.id);
@@ -839,6 +893,8 @@ impl Channel {
                 }
             }
         };
+        self.achievers.clear();
+        self.achievers.extend(candidates.iter().map(|&i| i as u32));
         pick.map(|slot| Plan {
             slot,
             start_ps: t_min,
@@ -856,15 +912,31 @@ impl Channel {
         } = self.plan()?;
         self.plan_cache = None;
         let tx = self.slots[idx].tx;
+        let pos = self.slots[idx].active_pos as usize;
         let picked_key = (tx.arrival_ps, tx.id);
+        // Starvation accounting: every older achiever — a transaction
+        // that could have started now but was passed over — loses one
+        // unit of patience. Transactions that could not start now are
+        // waiting on the device, not on the policy.
+        let mut bypasses = 0u64;
+        for &a in &self.achievers {
+            let s = &mut self.slots[a as usize];
+            if (s.tx.arrival_ps, s.tx.id) < picked_key {
+                s.tx.bypassed += 1;
+                bypasses += 1;
+            }
+        }
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.decisions += 1;
+            t.bypass_increments += bypasses;
             t.queue_depth.record(self.active.len() as u64);
             t.wait_ps.record(start.saturating_sub(tx.arrival_ps));
             // Delay beyond the REF-adjusted per-bank floor: time the pick
             // lost to the shared CAS bus and the tRRD/tFAW ACT windows
             // (`adjust` is exact for any time, aged pair or not).
-            let floor = self.wins.adjust(&self.cfg, self.slots[idx].base_ps);
+            let floor = self
+                .wins
+                .adjust(&self.cfg, self.clock_ps.max(self.active[pos].floor_ps));
             t.interbank_delay_ps.record(start.saturating_sub(floor));
             if let SchedulePolicy::FrFcfs { starvation_cap } = self.policy {
                 if tx.bypassed >= starvation_cap {
@@ -873,13 +945,11 @@ impl Channel {
             }
         }
         // O(1) slab removal; FCFS order lives in the age keys, not in
-        // storage order, so nothing shifts. The dense active list swaps
-        // the tail index into the vacated position.
-        self.slots[idx].occupied = false;
-        let pos = self.slots[idx].active_pos as usize;
+        // storage order, so nothing shifts. The dense list swaps its tail
+        // into the vacated position.
         self.active.swap_remove(pos);
-        if let Some(&moved) = self.active.get(pos) {
-            self.slots[moved as usize].active_pos = pos as u32;
+        if let Some(moved) = self.active.get(pos) {
+            self.slots[moved.slot as usize].active_pos = pos as u32;
         }
         self.free.push(idx as u32);
         let outcome = self.engine.service_decoded(tx.decoded, tx.is_read, start);
@@ -900,44 +970,23 @@ impl Channel {
             bg,
         );
         self.clock_ps = outcome.start_ps;
-        // One pass over the survivors does all the per-service slot
-        // bookkeeping:
-        // * starvation accounting — every *issuable* older transaction
-        //   that was passed over loses one unit of patience (transactions
-        //   whose banks are busy are waiting on the device, not on the
-        //   policy; the planning pass left the cached starts current, so
-        //   they are the issuability test; the engine service touches
-        //   none of those cached inputs);
-        // * floor maintenance — every floor rises to the new clock, and
-        //   the serviced bank's slots pick up its new ready time;
-        // * cache invalidation for the serviced bank (the service
-        //   perturbs only its own bank's ready time and open row; the
-        //   global clock/ACT/CAS/REF horizons are revalidated lazily at
-        //   plan time);
-        // * rebuilding the seed hint over the survivors' updated floors.
-        let clock = self.clock_ps;
+        // The service perturbs only its own bank's ready time and open
+        // row, so only that bank's floors move and only its start caches
+        // go stale (the global clock/ACT/CAS/REF horizons are revalidated
+        // lazily at plan time). The same dense loop finds the next seed.
         let bank_ready = self.engine.bank_ready_ps(tx.bank);
-        self.seed_hint = None;
-        let mut bypasses = 0u64;
-        for &i in &self.active {
-            let s = &mut self.slots[i as usize];
-            if s.exact && s.start_ps == start && (s.tx.arrival_ps, s.tx.id) < picked_key {
-                s.tx.bypassed += 1;
-                bypasses += 1;
-            }
-            if s.tx.bank == tx.bank {
+        let mut seed = (0usize, u64::MAX);
+        for (k, live) in self.active.iter_mut().enumerate() {
+            if live.bank == tx.bank {
+                let s = &mut self.slots[live.slot as usize];
                 s.fresh = false;
-                s.base_ps = clock.max(s.tx.arrival_ps).max(bank_ready);
-            } else if s.base_ps < clock {
-                s.base_ps = clock;
+                live.floor_ps = s.tx.arrival_ps.max(bank_ready);
             }
-            if self.seed_hint.map_or(true, |(b, _)| s.base_ps < b) {
-                self.seed_hint = Some((s.base_ps, i));
+            if live.floor_ps < seed.1 {
+                seed = (k, live.floor_ps);
             }
         }
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.bypass_increments += bypasses;
-        }
+        self.seed_pos = seed.0 as u32;
         Some(Completion {
             core: tx.core,
             arrival_ps: tx.arrival_ps,
@@ -954,23 +1003,23 @@ impl Channel {
 
     /// Serialises the channel's dynamic state *exactly*: the engine and
     /// timing layers, then the slot slab field for field (including the
-    /// planner caches, `exact` flags and the `active` list **in storage
-    /// order** — the planner's skip rule and starvation accounting are
-    /// scan-order sensitive, so a canonicalised restore could diverge from
-    /// the straight run). The `reference`/`reference_refresh` knobs are
-    /// rebuilt from process-wide defaults at construction, not serialised.
+    /// start caches and the `active` list **in storage order** — a pass's
+    /// seed and floor skips follow positions, so a canonicalised restore
+    /// could price different slots than the straight run and drift its
+    /// `slots_examined`), the cached plan with its achiever set, and the
+    /// work counters. The floors and banks of the `active` entries, the
+    /// seed and the slots' `active_pos` are derived state, rebuilt on
+    /// restore. The
+    /// `reference`/`reference_refresh` knobs are rebuilt from process-wide
+    /// defaults at construction, not serialised.
     pub(crate) fn snapshot_into(&self, w: &mut SnapshotWriter) {
         self.engine.snapshot_into(w);
         self.timing.snapshot_into(w);
         w.push(self.slots.len() as u64);
         for s in &self.slots {
-            w.push_bool(s.occupied);
-            w.push_u32(s.active_pos);
             w.push_bool(s.fresh);
-            w.push_bool(s.exact);
             w.push(s.start_ps);
             w.push(s.cas_off_ps);
-            w.push(s.base_ps);
             w.push(s.tx.id);
             w.push_u32(s.tx.core);
             w.push(s.tx.arrival_ps);
@@ -987,8 +1036,8 @@ impl Channel {
             w.push_u32(i);
         }
         w.push(self.active.len() as u64);
-        for &i in &self.active {
-            w.push_u32(i);
+        for live in &self.active {
+            w.push_u32(live.slot);
         }
         w.push(self.next_id);
         w.push(self.clock_ps);
@@ -997,31 +1046,20 @@ impl Channel {
                 w.push_bool(true);
                 w.push(p.slot as u64);
                 w.push(p.start_ps);
+                w.push(self.achievers.len() as u64);
+                for &i in &self.achievers {
+                    w.push_u32(i);
+                }
             }
-            None => {
-                w.push_bool(false);
-                w.push(0);
-                w.push(0);
-            }
+            None => w.push_bool(false),
         }
         w.push(self.wins.w0_start);
         w.push(self.wins.w0_end);
         w.push(self.wins.w1_start);
         w.push(self.wins.w1_end);
         w.push_bool(self.wins.fast);
-        match self.seed_hint {
-            Some((b, i)) => {
-                w.push_bool(true);
-                w.push(b);
-                w.push_u32(i);
-            }
-            None => {
-                w.push_bool(false);
-                w.push(0);
-                w.push_u32(0);
-            }
-        }
         w.push(self.plans_computed);
+        w.push(self.slots_examined);
         // Telemetry words ride behind the stable layout, and only when the
         // layer is enabled — a non-telemetry checkpoint is unchanged.
         if let Some(t) = &self.telemetry {
@@ -1038,13 +1076,9 @@ impl Channel {
             .map_err(|_| "channel: slot count overflows usize".to_string())?;
         self.slots.clear();
         for _ in 0..slots {
-            let occupied = r.take_bool()?;
-            let active_pos = r.take_u32()?;
             let fresh = r.take_bool()?;
-            let exact = r.take_bool()?;
             let start_ps = r.take()?;
             let cas_off_ps = r.take()?;
-            let base_ps = r.take()?;
             let id = r.take()?;
             let core = r.take_u32()?;
             let arrival_ps = r.take()?;
@@ -1057,16 +1091,16 @@ impl Channel {
                 column: r.take_u32()?,
             };
             let bank = r.take_u32()?;
+            if bank as usize >= self.engine.bank_count() {
+                return Err(format!("channel: transaction bank {bank} out of range"));
+            }
             let is_read = r.take_bool()?;
             let bypassed = r.take_u32()?;
             self.slots.push(Slot {
-                occupied,
-                active_pos,
+                active_pos: 0,
                 fresh,
-                exact,
                 start_ps,
                 cas_off_ps,
-                base_ps,
                 tx: Transaction {
                     id,
                     core,
@@ -1092,25 +1126,26 @@ impl Channel {
                 }
                 Ok(())
             };
-        let mut free = std::mem::take(&mut self.free);
-        take_index_list(r, &mut free, "free list")?;
-        self.free = free;
-        let mut active = std::mem::take(&mut self.active);
+        take_index_list(r, &mut self.free, "free list")?;
+        let mut active = Vec::new();
         take_index_list(r, &mut active, "active list")?;
-        self.active = active;
         self.next_id = r.take()?;
         self.clock_ps = r.take()?;
-        let has_plan = r.take_bool()?;
-        let plan_slot = usize::try_from(r.take()?)
-            .map_err(|_| "channel: plan slot overflows usize".to_string())?;
-        let plan_start = r.take()?;
-        if has_plan && plan_slot >= slots {
-            return Err(format!("channel: plan slot {plan_slot} out of range"));
+        self.plan_cache = None;
+        self.achievers.clear();
+        if r.take_bool()? {
+            let plan_slot = usize::try_from(r.take()?)
+                .map_err(|_| "channel: plan slot overflows usize".to_string())?;
+            let start_ps = r.take()?;
+            if plan_slot >= slots {
+                return Err(format!("channel: plan slot {plan_slot} out of range"));
+            }
+            take_index_list(r, &mut self.achievers, "achiever set")?;
+            self.plan_cache = Some(Plan {
+                slot: plan_slot,
+                start_ps,
+            });
         }
-        self.plan_cache = has_plan.then_some(Plan {
-            slot: plan_slot,
-            start_ps: plan_start,
-        });
         self.wins = RefWindows {
             w0_start: r.take()?,
             w0_end: r.take()?,
@@ -1118,16 +1153,27 @@ impl Channel {
             w1_end: r.take()?,
             fast: r.take_bool()?,
         };
-        let has_hint = r.take_bool()?;
-        let hint_base = r.take()?;
-        let hint_idx = r.take_u32()?;
-        if has_hint && hint_idx as usize >= slots {
-            return Err(format!("channel: seed hint index {hint_idx} out of range"));
-        }
-        self.seed_hint = has_hint.then_some((hint_base, hint_idx));
         self.plans_computed = r.take()?;
+        self.slots_examined = r.take()?;
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.restore_from(r)?;
+        }
+        // Derived state: positions, floors, banks and the seed (the first
+        // smallest floor, the same tie rule push and service keep).
+        self.active.clear();
+        self.seed_pos = 0;
+        for (k, &i) in active.iter().enumerate() {
+            let s = &mut self.slots[i as usize];
+            s.active_pos = k as u32;
+            let floor_ps = s.tx.arrival_ps.max(self.engine.bank_ready_ps(s.tx.bank));
+            if k > 0 && floor_ps < self.active[self.seed_pos as usize].floor_ps {
+                self.seed_pos = k as u32;
+            }
+            self.active.push(Live {
+                floor_ps,
+                bank: s.tx.bank,
+                slot: i,
+            });
         }
         Ok(())
     }
@@ -1426,6 +1472,33 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn saturation32_prices_a_few_slots_per_decision() {
+        // The checked-in saturation cell keeps the queue nearly full, yet
+        // the floor test leaves only a handful of slots to price per
+        // decision: the planner's work does not scale with queue depth.
+        let text = include_str!("../../../examples/scenarios/saturation32.scn")
+            .replace("requests = 2000", "requests = 250");
+        let mut spec = crate::ScenarioSpec::parse(&text).unwrap();
+        spec.telemetry = true;
+        let report = spec.run().unwrap().telemetry.unwrap();
+        let sched = report.section("ch0/sched").unwrap();
+        let counter = |name: &str| report.counter("ch0/sched", name).unwrap() as f64;
+        let depth = sched
+            .histograms
+            .iter()
+            .find(|(n, _)| n == "queue_depth")
+            .unwrap()
+            .1
+            .mean();
+        let per_decision = counter("slots_examined") / counter("decisions");
+        assert!(depth > 28.0, "the queue stays deep (mean depth {depth})");
+        assert!(
+            per_decision < 6.0,
+            "{per_decision} slots examined per decision at mean depth {depth}"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 /// Version word embedded in every serialized checkpoint. Bumped whenever
 /// the word layout of any layer changes incompatibly.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// Magic prefix identifying a serialized checkpoint.
 const MAGIC: &[u8; 8] = b"MINTCKPT";

@@ -232,6 +232,7 @@ pub fn collect_report(
             sched.counter("starved_picks", t.starved_picks);
             sched.counter("bypass_increments", t.bypass_increments);
             sched.counter("plans_computed", channel.plans_computed());
+            sched.counter("slots_examined", channel.slots_examined());
             sched.counter("row_hit_picks", result.row_hits);
             sched.histogram("queue_depth", t.queue_depth.clone());
             sched.histogram("wait_ps", t.wait_ps.clone());

@@ -383,6 +383,30 @@ impl std::error::Error for TraceParseError {}
 /// assert!(!t[1].is_read);
 /// ```
 pub fn parse_trace(text: &str) -> Result<Vec<TraceEntry>, TraceParseError> {
+    parse_trace_lines(text, None)
+}
+
+/// [`parse_trace`] that also refuses, with its line number, any address
+/// that `decoder` cannot place ([`AddressDecoder::try_decode`]): an
+/// address beyond the organisation's capacity is an input error here,
+/// not a panic when the request later reaches the channel.
+///
+/// # Errors
+///
+/// Returns the first malformed or out-of-range line (1-based, counting
+/// blank/comment lines) and why it failed.
+pub fn parse_trace_for(
+    text: &str,
+    decoder: &AddressDecoder,
+) -> Result<Vec<TraceEntry>, TraceParseError> {
+    parse_trace_lines(text, Some(decoder))
+}
+
+/// The trace parser behind [`parse_trace`] and [`parse_trace_for`].
+fn parse_trace_lines(
+    text: &str,
+    decoder: Option<&AddressDecoder>,
+) -> Result<Vec<TraceEntry>, TraceParseError> {
     let mut out = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         // Strip a trailing comment first so `10 R 0x40  # note` parses;
@@ -417,6 +441,9 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceEntry>, TraceParseError> {
                 .parse()
                 .map_err(|e| err(format!("bad address {addr:?}: {e}")))?,
         };
+        if let Some(d) = decoder {
+            d.try_decode(addr).map_err(|e| err(e.to_string()))?;
+        }
         out.push(TraceEntry {
             gap_cycles,
             is_read,
@@ -745,6 +772,20 @@ mod tests {
             assert!(e.reason.contains(needle), "{text:?} → {}", e.reason);
             assert!(e.to_string().contains("trace line"));
         }
+    }
+
+    #[test]
+    fn out_of_range_trace_addresses_are_refused_with_their_line() {
+        let d = decoder();
+        let top = (1u64 << d.addr_bits()) - 64;
+        let text = format!("# ok\n10 R {top:#x}\n5 R 0xFFFFFFFFFFFF0000\n");
+        assert_eq!(parse_trace(&text).unwrap().len(), 2, "the syntax is fine");
+        let e = parse_trace_for(&text, &d).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.reason.contains("out of range"), "{}", e.reason);
+        assert!(e.to_string().starts_with("trace line 3:"));
+        let last = format!("10 R {top:#x}\n");
+        assert_eq!(parse_trace_for(&last, &d).unwrap()[0].addr, top);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use mint_memsys::{
     parse_trace, workload_by_name, Checkpoint, MitigationScheme, RunReport, Session, SessionRun,
-    Sim, SystemConfig,
+    Sim, SystemConfig, CHECKPOINT_VERSION,
 };
 
 const SCHEMES: [MitigationScheme; 6] = [
@@ -279,4 +279,26 @@ fn structurally_incompatible_checkpoints_are_refused() {
     let mut bytes = ckpt.to_bytes();
     bytes.truncate(bytes.len() - 3);
     assert!(Checkpoint::from_bytes(&bytes).is_err());
+}
+
+#[test]
+fn checkpoints_of_the_previous_version_are_refused_not_misread() {
+    // A layout change bumps CHECKPOINT_VERSION; bytes written under the
+    // old number must be refused at the framing, never restored word by
+    // word into the new layout.
+    let SessionRun::Paused(ckpt) = session(MitigationScheme::Mint, topology(1, 1))
+        .run_until(10)
+        .expect("pausable run")
+    else {
+        panic!("split at 10 must pause");
+    };
+    let mut bytes = ckpt.to_bytes();
+    assert_eq!(&bytes[8..16], &CHECKPOINT_VERSION.to_le_bytes());
+    let old = CHECKPOINT_VERSION - 1;
+    bytes[8..16].copy_from_slice(&old.to_le_bytes());
+    let err = Checkpoint::from_bytes(&bytes).expect_err("old version must be refused");
+    assert!(
+        err.contains(&format!("unsupported checkpoint version {old}")),
+        "got: {err}"
+    );
 }

@@ -1,16 +1,20 @@
 //! Differential oracle for the scheduler's incremental planner.
 //!
 //! The channel keeps two planning implementations: the incremental
-//! default (cached earliest-starts with dirty-bit invalidation, plan
-//! adoption on push, seed-hinted arbitration) and the original scratch
-//! planner, retained verbatim as the reference
+//! default (one pass per decision over a dense floor/bank index, cached
+//! earliest starts with dirty-bit invalidation, plan adoption on push,
+//! and an achiever set that drives FR-FCFS starvation accounting) and the
+//! original scratch planner, retained verbatim as the reference
 //! (`Channel::set_reference_planner`). This suite drives **two channels
 //! through identical random push/service interleavings** — one per
-//! planner — across policies, schemes, mappings and queue depths, and
-//! asserts they agree at every observable step: the admission lookahead
-//! (`next_start_ps`), every [`Completion`] field, and the final
-//! [`SimResult`]. Any divergence prints the deterministic case index
-//! that replays it exactly (see `mint_exp::prop`).
+//! planner — across policies and starvation caps (0, 1, 2 and 4, so
+//! bypass budgets actually run out), schemes, mappings, one or two ranks
+//! and queue depths, and asserts they agree at every observable step:
+//! the admission lookahead (`next_start_ps`), every [`Completion`] field,
+//! the scheduler telemetry (bypass increments and starved picks above
+//! all), and the final [`SimResult`]. Any divergence prints the
+//! deterministic case index that replays it exactly (see
+//! `mint_exp::prop`).
 
 use mint_exp::prop::{forall, u64_in, usize_in};
 use mint_memsys::{
@@ -19,10 +23,17 @@ use mint_memsys::{
 use mint_rng::Rng64;
 
 /// A random LLC-miss request: cache-line aligned address in a 16 GiB
-/// window, mixed reads/writes, no think time (arrival is explicit).
-fn random_request(rng: &mut impl Rng64) -> Request {
+/// window, mixed reads/writes, no think time (arrival is explicit). With
+/// a `hot` set, most requests reuse one of its addresses, so row hits
+/// queue up behind older misses to the same bank.
+fn random_request(rng: &mut impl Rng64, hot: &[u64]) -> Request {
+    let addr = if !hot.is_empty() && rng.gen_bool(0.6) {
+        hot[usize_in(rng, 0, hot.len())]
+    } else {
+        u64_in(rng, 0, 1 << 34) & !63
+    };
     Request {
-        addr: u64_in(rng, 0, 1 << 34) & !63,
+        addr,
         is_read: rng.gen_bool(0.7),
         think_time_ps: 0,
     }
@@ -30,7 +41,13 @@ fn random_request(rng: &mut impl Rng64) -> Request {
 
 #[test]
 fn incremental_planner_matches_scratch_reference_stepwise() {
-    let policies = [SchedulePolicy::Fcfs, SchedulePolicy::frfcfs()];
+    let policies = [
+        SchedulePolicy::Fcfs,
+        SchedulePolicy::FrFcfs { starvation_cap: 0 },
+        SchedulePolicy::FrFcfs { starvation_cap: 1 },
+        SchedulePolicy::FrFcfs { starvation_cap: 2 },
+        SchedulePolicy::frfcfs(),
+    ];
     let schemes = [
         MitigationScheme::Baseline,
         MitigationScheme::Mint,
@@ -43,26 +60,41 @@ fn incremental_planner_matches_scratch_reference_stepwise() {
         AddressMapping::ChRaBaRoCo,
     ];
     let depths = [2u32, 4, 8, 32];
+    let ranks = [1u32, 2];
 
+    let (mut bypasses, mut starved) = (0u64, 0u64);
     forall(48, 0x04AC1E, |case, rng| {
         let policy = policies[usize_in(rng, 0, policies.len())];
         let scheme = schemes[usize_in(rng, 0, schemes.len())];
         let mapping = mappings[usize_in(rng, 0, mappings.len())];
         let cfg = SystemConfig {
             queue_depth: depths[usize_in(rng, 0, depths.len())],
+            ranks: ranks[usize_in(rng, 0, ranks.len())],
             ..SystemConfig::table6()
         };
         let seed = u64_in(rng, 0, u64::MAX - 1);
         let mut inc = Channel::new(cfg, scheme, policy, mapping, seed);
         let mut refc = Channel::new(cfg, scheme, policy, mapping, seed);
         refc.set_reference_planner(true);
+        inc.enable_telemetry();
+        refc.enable_telemetry();
 
         let ctx = format!(
-            "case {case}: {} {} {mapping:?} depth {}",
+            "case {case}: {} {} {mapping:?} depth {} ranks {}",
             scheme.label(),
             policy.label(),
-            cfg.queue_depth
+            cfg.queue_depth,
+            cfg.ranks
         );
+        // Half the cases are hot: a few reused addresses and arrivals
+        // that often share an instant, so a younger row hit and an older
+        // miss can tie at the earliest start — the only way FR-FCFS
+        // bypasses (and the starvation cap) ever fire.
+        let hot: Vec<u64> = if rng.gen_bool(0.5) {
+            (0..4).map(|_| u64_in(rng, 0, 1 << 34) & !63).collect()
+        } else {
+            Vec::new()
+        };
         let mut arrival = 0u64;
         let mut serviced = 0u32;
         for step in 0..600 {
@@ -74,8 +106,10 @@ fn incremental_planner_matches_scratch_reference_stepwise() {
             if push {
                 // Arrivals move forward in bursts: often simultaneous,
                 // sometimes jumping past the current backlog.
-                arrival += u64_in(rng, 0, 4_000);
-                let req = random_request(rng);
+                if hot.is_empty() || rng.gen_bool(0.5) {
+                    arrival += u64_in(rng, 0, 4_000);
+                }
+                let req = random_request(rng, &hot);
                 inc.push(req, serviced % 4, arrival);
                 refc.push(req, serviced % 4, arrival);
             } else {
@@ -105,6 +139,15 @@ fn incremental_planner_matches_scratch_reference_stepwise() {
         inc.finish(end);
         refc.finish(end);
         assert_eq!(inc.result(), refc.result(), "{ctx}: final stats diverge");
+        let (ti, tr) = (inc.telemetry().unwrap(), refc.telemetry().unwrap());
+        assert_eq!(
+            (ti.bypass_increments, ti.starved_picks),
+            (tr.bypass_increments, tr.starved_picks),
+            "{ctx}: starvation accounting diverges"
+        );
+        assert_eq!(ti, tr, "{ctx}: scheduler telemetry diverges");
+        bypasses += ti.bypass_increments;
+        starved += ti.starved_picks;
         assert!(
             inc.plans_computed() <= refc.plans_computed(),
             "{ctx}: the incremental planner must never plan more often \
@@ -112,5 +155,17 @@ fn incremental_planner_matches_scratch_reference_stepwise() {
             inc.plans_computed(),
             refc.plans_computed()
         );
+        assert!(
+            inc.slots_examined() <= refc.slots_examined(),
+            "{ctx}: the incremental planner must never price more slots \
+             ({} vs {})",
+            inc.slots_examined(),
+            refc.slots_examined()
+        );
     });
+    assert!(
+        bypasses > 0 && starved > 0,
+        "the cases must exercise the starvation rule ({bypasses} bypasses, \
+         {starved} starved picks)"
+    );
 }
