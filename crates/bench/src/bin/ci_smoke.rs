@@ -11,8 +11,9 @@
 //! alignment. Two more legs cover the serving layer: the checked-in specs
 //! piped through the resident scenario service (streamed JSON-lines
 //! byte-identical at 1 vs 4 workers and vs batch) and a midpoint
-//! checkpoint/restore whose resumed report must match the straight run
-//! byte-for-byte.
+//! checkpoint/restore — on the default admission heaps and again on the
+//! sorted-vec admission reference — whose resumed report must match the
+//! straight run byte-for-byte.
 //!
 //! ```bash
 //! cargo run --release -p mint-bench --bin ci_smoke
@@ -210,19 +211,10 @@ fn main() {
         grid.telemetry = true;
         let reports = grid.run_reports();
         let mut dump = String::new();
-        let mut rows = Vec::new();
-        for row in &reports {
-            let base = row[0].perf;
-            rows.push(
-                row.iter()
-                    .map(|r| r.perf.normalize(&base))
-                    .collect::<Vec<NormalizedPerf>>(),
-            );
-            for r in row {
-                dump.push_str(&r.telemetry.as_ref().expect("telemetry enabled").to_json());
-            }
+        for r in reports.iter().flatten() {
+            dump.push_str(&r.telemetry.as_ref().expect("telemetry enabled").to_json());
         }
-        (dump, rows)
+        (dump, ScenarioGrid::normalize_rows(&reports))
     };
     let (tele_one, tele_four) = at_jobs_1_and_4(telemetry_dump);
     assert_eq!(
@@ -289,44 +281,59 @@ fn main() {
     // Checkpoint leg: run a cell straight, then split it at the midpoint
     // through the serialized on-disk checkpoint format and resume in a
     // fresh session — the final report rendering must not differ by a
-    // byte (and the full RunReport must compare equal).
+    // byte (and the full RunReport must compare equal). The split runs
+    // twice: on the default admission heaps and on the sorted-vec
+    // admission reference, which pauses inside the same run loop.
     let cell_text = "scheme = mint\nworkload = mcf\nrequests = 2000\nseed = 77\n";
     let Scenario::Cell(cell) = parse_any(cell_text).expect("cell spec") else {
         panic!("checkpoint leg needs a cell");
     };
     let straight = cell.run().expect("straight run");
     let total = straight.perf.result.requests;
-    let paused = cell
-        .to_sim(SystemConfig::table6())
-        .expect("sim")
-        .build()
-        .run_until(total / 2)
-        .expect("pause at the midpoint");
-    let SessionRun::Paused(checkpoint) = paused else {
-        panic!("a midpoint stop must pause, not finish");
+    let split_run = || {
+        let paused = cell
+            .to_sim(SystemConfig::table6())
+            .expect("sim")
+            .build()
+            .run_until(total / 2)
+            .expect("pause at the midpoint");
+        let SessionRun::Paused(checkpoint) = paused else {
+            panic!("a midpoint stop must pause, not finish");
+        };
+        let bytes = checkpoint.to_bytes();
+        let restored = Checkpoint::from_bytes(&bytes).expect("decode checkpoint bytes");
+        let resumed = cell
+            .to_sim(SystemConfig::table6())
+            .expect("sim")
+            .build()
+            .resume(&restored)
+            .expect("resume from the midpoint");
+        (resumed, bytes.len())
     };
-    let bytes = checkpoint.to_bytes();
-    let restored = Checkpoint::from_bytes(&bytes).expect("decode checkpoint bytes");
-    let resumed = cell
-        .to_sim(SystemConfig::table6())
-        .expect("sim")
-        .build()
-        .resume(&restored)
-        .expect("resume from the midpoint");
-    assert_eq!(
-        wire::ok_cell_line(0, &cell.scheme.label(), &resumed),
-        wire::ok_cell_line(0, &cell.scheme.label(), &straight),
-        "resumed report rendering differs from the straight run"
-    );
-    assert_eq!(
-        resumed, straight,
-        "full RunReport differs after checkpoint/restore"
-    );
-    println!(
-        "checkpoint: midpoint split at request {} resumed byte-identical ({}-byte checkpoint)",
-        total / 2,
-        bytes.len(),
-    );
+    for reference in [false, true] {
+        set_reference_admission_default(reference);
+        let (resumed, len) = split_run();
+        set_reference_admission_default(false);
+        let what = if reference {
+            "sorted-vec admission reference"
+        } else {
+            "admission heaps"
+        };
+        assert_eq!(
+            wire::ok_cell_line(0, &cell.scheme.label(), &resumed),
+            wire::ok_cell_line(0, &cell.scheme.label(), &straight),
+            "{what}: resumed report rendering differs from the straight run"
+        );
+        assert_eq!(
+            resumed, straight,
+            "{what}: full RunReport differs after checkpoint/restore"
+        );
+        println!(
+            "checkpoint[{what}]: midpoint split at request {} resumed byte-identical \
+             ({len}-byte checkpoint)",
+            total / 2,
+        );
+    }
 
     // Planner oracle at artifact granularity: the exact JSON payloads of
     // BENCH_perf.json (reduced request budget) and BENCH_security.json

@@ -83,7 +83,7 @@ fn main() {
                     "SCENARIO_telemetry.csv",
                     &grid_telemetry_csv(&grid, &reports),
                 );
-                normalize_rows(&reports)
+                ScenarioGrid::normalize_rows(&reports)
             } else {
                 grid.run()
             };
@@ -92,18 +92,6 @@ fn main() {
         }
     };
     cli.write_artifact("SCENARIO_report.json", &json);
-}
-
-/// The per-workload normalization `ScenarioGrid::run` applies, derived
-/// from full reports instead of bare perf cells.
-fn normalize_rows(reports: &[Vec<RunReport>]) -> Vec<Vec<mint_memsys::NormalizedPerf>> {
-    reports
-        .iter()
-        .map(|row| {
-            let base = row[0].perf;
-            row.iter().map(|r| r.perf.normalize(&base)).collect()
-        })
-        .collect()
 }
 
 /// One JSON object per grid cell, each embedding its telemetry report.

@@ -124,26 +124,39 @@ impl WorkloadCell {
     ///
     /// # Panics
     ///
-    /// Panics on unknown names or a per-core list whose length differs
-    /// from `cores` — [`parse`](Self::parse) validates names, so this
-    /// only fires for hand-built cells.
+    /// Panics where [`try_resolve`](Self::try_resolve) returns an error.
     #[must_use]
     pub fn resolve(&self, cores: u32) -> Vec<WorkloadSpec> {
-        let lookup = |name: &str| {
-            workload_by_name(name).unwrap_or_else(|| panic!("unknown workload {name:?}"))
-        };
-        match self {
-            WorkloadCell::Rate(name) => vec![lookup(name); cores as usize],
-            WorkloadCell::Mix(n) => {
-                let mix = mixes()[n - 1];
-                assert_eq!(mix.len(), cores as usize, "one workload spec per core");
-                mix.to_vec()
-            }
+        self.try_resolve(cores).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Resolves the cell into one [`WorkloadSpec`] per core.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message (no line number — the caller owns that) for a
+    /// mix or per-core list whose length differs from `cores`, and for
+    /// unknown names ([`parse`](Self::parse) validates names, so those
+    /// only occur in hand-built cells).
+    pub fn try_resolve(&self, cores: u32) -> Result<Vec<WorkloadSpec>, String> {
+        let lookup =
+            |name: &str| workload_by_name(name).ok_or_else(|| format!("unknown workload {name:?}"));
+        let specs = match self {
+            WorkloadCell::Rate(name) => return Ok(vec![lookup(name)?; cores as usize]),
+            WorkloadCell::Mix(n) => mixes()[n - 1].to_vec(),
             WorkloadCell::PerCore(names) => {
-                assert_eq!(names.len(), cores as usize, "one workload spec per core");
-                names.iter().map(|n| lookup(n)).collect()
+                names.iter().map(|n| lookup(n)).collect::<Result<_, _>>()?
             }
+        };
+        if specs.len() != cores as usize {
+            return Err(format!(
+                "workload {} lists {} per-core specs for {cores} cores: \
+                 need one workload spec per core",
+                self.to_token(),
+                specs.len()
+            ));
         }
+        Ok(specs)
     }
 }
 
@@ -328,9 +341,11 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns I/O and parse errors for a trace frontend whose file is
-    /// unreadable or malformed, or holds an address beyond the
-    /// topology's capacity (the error names the trace line).
+    /// Returns an error for a mix or per-core workload cell whose length
+    /// differs from the core count, and I/O and parse errors for a trace
+    /// frontend whose file is unreadable or malformed, or holds an
+    /// address beyond the topology's capacity (the error names the trace
+    /// line).
     pub fn to_sim(&self, cfg: SystemConfig) -> Result<Sim<'static>, Box<dyn std::error::Error>> {
         let mut cfg = cfg;
         if let Some(cores) = self.cores {
@@ -352,7 +367,7 @@ impl ScenarioSpec {
         }
         Ok(match &self.frontend {
             ScenarioFrontend::Workload(cell) => {
-                sim.workload(&cell.resolve(cfg.cores), self.requests_per_core)
+                sim.workload(&cell.try_resolve(cfg.cores)?, self.requests_per_core)
             }
             ScenarioFrontend::Trace(path) => {
                 let text = std::fs::read_to_string(path)?;
@@ -508,13 +523,16 @@ impl ScenarioGrid {
     /// # Errors
     ///
     /// Returns the first malformed line and why it failed; missing
-    /// required keys (`schemes`, `workloads`) report line 0.
+    /// required keys (`schemes`, `workloads`) report line 0, and a mix or
+    /// per-core workload cell whose length differs from the core count
+    /// reports the `workloads` line.
     pub fn parse(text: &str) -> Result<ScenarioGrid, ScenarioParseError> {
         let pairs = parse_kv(text)?;
         let mut grid = ScenarioGrid::new(SystemConfig::table6());
         let mut had_seed_base = false;
         let mut had_seeds = false;
         let mut cells: Vec<WorkloadCell> = Vec::new();
+        let mut cells_line = 0;
         for Pair { line, key, value } in pairs {
             let err = |reason: String| ScenarioParseError { line, reason };
             match key.as_str() {
@@ -532,6 +550,7 @@ impl ScenarioGrid {
                     }
                 }
                 "workloads" => {
+                    cells_line = line;
                     cells = value
                         .split_whitespace()
                         .map(|t| WorkloadCell::parse(t).map_err(&err))
@@ -595,12 +614,21 @@ impl ScenarioGrid {
             return Err(file_err("give either `seed_base` or `seeds`, not both"));
         }
         grid.workload_labels = cells.iter().map(WorkloadCell::to_token).collect();
-        grid.workloads = cells.iter().map(|c| c.resolve(grid.cfg.cores)).collect();
+        grid.workloads = cells
+            .iter()
+            .map(|c| c.try_resolve(grid.cfg.cores))
+            .collect::<Result<_, _>>()
+            .map_err(|reason| ScenarioParseError {
+                line: cells_line,
+                reason,
+            })?;
         Ok(grid)
     }
 
     /// Runs every `(workload, scheme)` cell and returns, per workload,
-    /// the per-scheme results normalized against the first scheme.
+    /// the per-scheme results normalized against the first scheme
+    /// ([`normalize_rows`](Self::normalize_rows) of the reports, without
+    /// telemetry).
     ///
     /// # Panics
     ///
@@ -609,47 +637,38 @@ impl ScenarioGrid {
     /// [`Sim::build`] also apply).
     #[must_use]
     pub fn run(&self) -> Vec<Vec<NormalizedPerf>> {
-        assert!(!self.schemes.is_empty(), "need at least one scheme");
-        let seeds: Vec<u64> = match &self.seeds {
-            SeedAxis::Explicit(seeds) => {
-                assert_eq!(self.workloads.len(), seeds.len(), "one seed per workload");
-                seeds.clone()
-            }
-            SeedAxis::Base(base) => (0..self.workloads.len() as u64).map(|i| base + i).collect(),
-        };
-        let cells: Vec<(usize, usize)> = (0..self.workloads.len())
-            .flat_map(|w| (0..self.schemes.len()).map(move |s| (w, s)))
-            .collect();
-        let flat = mint_exp::par_map(&cells, |_, &(w, s)| {
-            Sim::new(self.cfg)
-                .scheme(self.schemes[s])
-                .policy(self.policy)
-                .mapping(self.mapping)
-                .workload(&self.workloads[w], self.requests_per_core)
-                .seed(seeds[w])
-                .run()
-                .perf
-        });
-        flat.chunks(self.schemes.len())
-            .map(|row| {
-                let base = row[0];
-                row.iter().map(|cell| cell.normalize(&base)).collect()
-            })
-            .collect()
+        Self::normalize_rows(&self.fan_out(false))
     }
 
     /// Runs every `(workload, scheme)` cell like [`run`](Self::run) but
     /// returns the full per-cell [`RunReport`]s (telemetry attached when
     /// the grid's `telemetry` flag is set), indexed `[workload][scheme]`.
-    /// Cells fan out through the same deterministic
-    /// [`mint_exp::par_map`], so reports are bit-identical for any
-    /// worker count.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`run`](Self::run).
     #[must_use]
     pub fn run_reports(&self) -> Vec<Vec<RunReport>> {
+        self.fan_out(self.telemetry)
+    }
+
+    /// The per-workload normalization of [`run`](Self::run): each row's
+    /// perf against its first (baseline) scheme's.
+    #[must_use]
+    pub fn normalize_rows(reports: &[Vec<RunReport>]) -> Vec<Vec<NormalizedPerf>> {
+        reports
+            .iter()
+            .map(|row| {
+                let base = row[0].perf;
+                row.iter().map(|r| r.perf.normalize(&base)).collect()
+            })
+            .collect()
+    }
+
+    /// Runs every `(workload, scheme)` cell through the deterministic
+    /// [`mint_exp::par_map`] (bit-identical for any worker count) and
+    /// returns the reports indexed `[workload][scheme]`.
+    fn fan_out(&self, telemetry: bool) -> Vec<Vec<RunReport>> {
         assert!(!self.schemes.is_empty(), "need at least one scheme");
         let seeds: Vec<u64> = match &self.seeds {
             SeedAxis::Explicit(seeds) => {
@@ -668,17 +687,15 @@ impl ScenarioGrid {
                 .mapping(self.mapping)
                 .workload(&self.workloads[w], self.requests_per_core)
                 .seed(seeds[w]);
-            if self.telemetry {
+            if telemetry {
                 sim = sim.telemetry();
             }
             sim.run()
         });
-        let mut rows: Vec<Vec<RunReport>> = Vec::with_capacity(self.workloads.len());
         let mut flat = flat.into_iter();
-        for _ in 0..self.workloads.len() {
-            rows.push(flat.by_ref().take(self.schemes.len()).collect());
-        }
-        rows
+        (0..self.workloads.len())
+            .map(|_| flat.by_ref().take(self.schemes.len()).collect())
+            .collect()
     }
 }
 
@@ -1012,6 +1029,53 @@ mod tests {
         assert_eq!(e.line, 0);
         assert!(e.reason.contains("missing frontend"));
         assert!(e.to_string().starts_with("scenario:"));
+        // A grid's mix or per-core cell that does not match the core
+        // count (default 4, or the `cores` key wherever it sits) is an
+        // error on the `workloads` line, not a panic.
+        for (text, line) in [
+            ("schemes = zoo\nworkloads = lbm+mcf\n", 2),
+            ("schemes = zoo\n# c\nworkloads = mcf mix1\ncores = 8\n", 3),
+            ("cores = 2\nworkloads = mix1\nschemes = zoo\n", 2),
+        ] {
+            let e = match parse_any(text) {
+                Err(e) => e,
+                Ok(_) => panic!("{text:?} must not parse"),
+            };
+            assert_eq!(e.line, line, "{text:?}");
+            assert!(
+                e.reason.contains("one workload spec per core"),
+                "{text:?} → {}",
+                e.reason
+            );
+        }
+    }
+
+    #[test]
+    fn workload_cells_that_miss_the_core_count_are_an_error_not_a_panic() {
+        for (text, needle) in [
+            (
+                "workload = mix1\ncores = 8\n",
+                "mix1 lists 4 per-core specs for 8 cores",
+            ),
+            (
+                "workload = lbm+mcf\n",
+                "lbm+mcf lists 2 per-core specs for 4 cores",
+            ),
+        ] {
+            let spec = ScenarioSpec::parse(text).unwrap();
+            let err = spec
+                .to_sim(SystemConfig::table6())
+                .err()
+                .map(|e| e.to_string())
+                .expect("a mismatched cell is refused");
+            assert!(err.contains(needle), "{text:?} → {err}");
+            assert!(spec.run().is_err(), "{text:?}");
+        }
+        let cell = WorkloadCell::PerCore(vec!["lbm".into(), "nosuch".into()]);
+        assert!(cell
+            .try_resolve(2)
+            .unwrap_err()
+            .contains("unknown workload"));
     }
 
     #[test]
@@ -1084,6 +1148,17 @@ mod tests {
         assert_eq!((top.cfg.channels, top.cfg.ranks), (MAX_CHANNELS, MAX_RANKS));
         let most = ScenarioGrid::parse("schemes = zoo\nworkloads = mcf\ncores = 1024\n").unwrap();
         assert_eq!(most.cfg.cores, MAX_CORES);
+        // A rate cell scales to any core count, a mix does not: the error
+        // names the `workloads` line even when `cores` comes after it.
+        let e =
+            ScenarioGrid::parse("schemes = zoo\nworkloads = mcf mix1\ncores = 1024\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(
+            e.reason
+                .contains("mix1 lists 4 per-core specs for 1024 cores"),
+            "{}",
+            e.reason
+        );
         let cell = ScenarioSpec::parse("workload = saturate\ncores = 1024\n").unwrap();
         assert_eq!(cell.cores, Some(MAX_CORES), "the bound itself is accepted");
     }

@@ -39,6 +39,16 @@
 //! golden digests by `tests/system_identity.rs`, and against the
 //! declarative [`ScenarioSpec`](crate::ScenarioSpec) layer by
 //! `tests/sim_builder.rs`).
+//!
+//! All four [`Session`] entry points ([`run`](Session::run),
+//! [`run_until`](Session::run_until), [`resume`](Session::resume),
+//! [`resume_until`](Session::resume_until)) go through one
+//! admission/service loop: pending requests wait in one `(issue, core)`
+//! min-heap per channel, every channel's admissible heads are admitted
+//! before each service decision, and the loop can pause into a
+//! [`Checkpoint`] after any number of services. The retained sorted-vec
+//! admission reference ([`set_reference_admission_default`]) admits
+//! inside that same loop.
 
 use crate::address::{AddressDecoder, AddressMapping};
 use crate::config::{MitigationScheme, SystemConfig};
@@ -53,19 +63,20 @@ use crate::workload::{CoreStream, Request, RequestSource, TraceEntry, TraceSourc
 use mint_obs::TelemetryReport;
 use mint_rng::derive_seed;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide default admission mode for subsequently started sessions
 /// (see [`set_reference_admission_default`]).
 static REFERENCE_ADMISSION_DEFAULT: AtomicBool = AtomicBool::new(false);
 
-/// Makes every subsequently started [`Session`] arbitrate admission with
-/// the retained sorted-vec reference loop — re-collecting and re-sorting
-/// every pending arrival per decision — instead of the incrementally
-/// maintained `(issue, core)` arrival set, and serve channels via the
-/// retained linear readiness scan instead of the cached per-channel
-/// minimum.
+/// Makes every subsequently started [`Session`] admit with the retained
+/// sorted-vec reference — re-collecting and re-sorting every pending
+/// arrival per admission, routing it then — instead of the per-channel
+/// `(issue, core)` arrival heaps, and serve channels via the retained
+/// linear readiness scan instead of the cached per-channel minimum. The
+/// reference admits inside the one run loop, so it pauses and resumes
+/// like the default ([`Session::run_until`]).
 ///
 /// Like [`set_reference_planner_default`](crate::set_reference_planner_default),
 /// this is a differential-testing oracle: both paths admit in the same
@@ -168,10 +179,6 @@ pub enum SessionRun {
     /// continue it bit-identically.
     Paused(Checkpoint),
 }
-
-/// The retained-oracle pause refusal (see [`Session::run_until`]).
-const REFERENCE_PAUSE_ERR: &str = "the reference admission oracle has no pause point; \
-     disable set_reference_admission_default for checkpoint/restore";
 
 /// The frontend half of a scenario: where requests come from.
 enum Frontend<'a> {
@@ -423,9 +430,6 @@ struct CoreCtx<'a> {
     /// Prefill the ring instead of pulling one request per fetch (off in
     /// reference-generation mode).
     batch: bool,
-    /// Routed channel of the pending request (cached at fetch so the
-    /// admission loop never decodes an address twice).
-    route: usize,
     /// When the core front-end can work on its next request.
     ready_at: u64,
     /// Requests still allowed (None = until the source runs dry).
@@ -469,54 +473,69 @@ impl CoreCtx<'_> {
     }
 }
 
-/// One service step of the optimized run loops: serve the earliest-ready
-/// channel, forward its drained events, credit the owning core (MLP
-/// stall model) and fetch that core's next request. Returns the serviced
-/// core's index, or `None` when every channel is empty (run over).
-#[allow(clippy::too_many_arguments)]
-fn service_step(
+/// One channel's pending arrivals, a min-heap on `(issue_ps, core)`.
+type ArrivalHeap = BinaryHeap<Reverse<(u64, usize)>>;
+
+/// Queues core `i`'s pending request, if it has one, on the arrival heap
+/// of the channel it routes to. A single channel skips the decode.
+fn queue_arrival(system: &System, heaps: &mut [ArrivalHeap], cores: &[CoreCtx], i: usize) {
+    if let Some(&(req, issue)) = cores[i].pending.as_ref() {
+        let ch = if heaps.len() == 1 {
+            0
+        } else {
+            system.route(req.addr)
+        };
+        heaps[ch].push(Reverse((issue, i)));
+    }
+}
+
+/// The retained sorted-vec admission reference (the differential oracle
+/// for the arrival heaps, see [`set_reference_admission_default`]):
+/// re-collects and re-sorts every pending arrival, routes each at
+/// admission time, and returns the earliest `(core, channel)` whose
+/// channel can take it by the uncached readiness query.
+fn admit_reference(
+    system: &mut System,
+    cores: &[CoreCtx],
+    arrivals: &mut Vec<(u64, usize)>,
+) -> Option<(usize, usize)> {
+    arrivals.clear();
+    for (i, c) in cores.iter().enumerate() {
+        if let Some(&(_, issue)) = c.pending.as_ref() {
+            arrivals.push((issue, i));
+        }
+    }
+    arrivals.sort_unstable();
+    let single_channel = system.channel_count() == 1;
+    arrivals.iter().find_map(|&(issue, i)| {
+        let ch = if single_channel {
+            0
+        } else {
+            let &(req, _) = cores[i].pending.as_ref().expect("collected above");
+            system.route(req.addr)
+        };
+        system.admissible_uncached(ch, issue).then_some((i, ch))
+    })
+}
+
+/// Moves core `i`'s pending request into channel `ch`'s queue.
+fn admit(
     system: &mut System,
     cores: &mut [CoreCtx],
-    mlp: u64,
-    mlp_shift: Option<u32>,
-    observer: &mut Option<&mut dyn ChannelObserver>,
-    capture_events: bool,
-    events: &mut Vec<MemEvent>,
     stel: &mut Option<Box<SessionTelemetry>>,
-) -> Option<usize> {
-    let ch = system.earliest_ready()?;
-    let c = system
-        .service_channel(ch)
-        .expect("earliest-ready channel is non-empty");
-    if observer.is_some() || capture_events {
-        for e in system.drain_events_global(ch) {
-            if let Some(obs) = observer.as_deref_mut() {
-                obs.on_event(&e);
-            }
-            if capture_events {
-                events.push(e);
-            }
-        }
-    }
-    let idx = c.core as usize;
-    let core = &mut cores[idx];
-    // Blocking-miss core with an MLP overlap factor: the core absorbs
-    // 1/MLP of the memory stall.
-    let stall = match mlp_shift {
-        Some(s) => (c.completion_ps - c.arrival_ps) >> s,
-        None => (c.completion_ps - c.arrival_ps) / mlp,
-    };
-    core.ready_at = c.arrival_ps + stall;
-    core.finish = core.finish.max(c.completion_ps);
-    core.serviced += 1;
-    core.fetch();
+    i: usize,
+    ch: usize,
+) {
+    let core = &mut cores[i];
+    let (req, issue) = core
+        .pending
+        .take()
+        .expect("admitted core has a pending request");
     if let Some(t) = stel.as_deref_mut() {
-        t.note_service(c.completion_ps);
-        if core.pending.is_some() {
-            t.generated += 1;
-        }
+        t.admitted += 1;
+        t.ring_depth.record(core.ring.len() as u64);
     }
-    Some(idx)
+    system.push_to(ch, req, i as u32, issue);
 }
 
 /// A fully resolved scenario, ready to run: built by [`Sim::build`],
@@ -552,126 +571,13 @@ impl Session<'_> {
     /// with system-global bank indices — bit-deterministic regardless of
     /// how a surrounding sweep is parallelised.
     #[must_use]
-    pub fn run(mut self) -> RunReport {
-        if !REFERENCE_ADMISSION_DEFAULT.load(Ordering::SeqCst) {
-            return match self.drive(None, None) {
-                Ok(SessionRun::Finished(report)) => report,
-                Ok(SessionRun::Paused(_)) | Err(_) => {
-                    unreachable!("a run with no stop point neither pauses nor fails")
-                }
-            };
-        }
-        let mut system = System::new(self.cfg, self.scheme, self.policy, self.mapping, self.seed);
-        let single_channel = system.channel_count() == 1;
-        let observe = self.observer.is_some() || self.capture_events;
-        if observe {
-            system.enable_event_log();
-        }
-        // Captured runs produce one event per executed command; reserve a
-        // chunk up front so the early doublings never land in the hot loop.
-        let mut events = Vec::with_capacity(if self.capture_events { 4096 } else { 0 });
-        let mlp = u64::from(self.cfg.core_mlp).max(1);
-        // The common MLP values are powers of two; divide by shift then
-        // (the stall division runs once per serviced request).
-        let mlp_shift = if mlp.is_power_of_two() {
-            Some(mlp.trailing_zeros())
-        } else {
-            None
-        };
-        let batch = !REFERENCE_GENERATION_DEFAULT.load(Ordering::SeqCst);
-        let mut cores: Vec<CoreCtx> = self
-            .sources
-            .into_iter()
-            .map(|source| {
-                let mut c = CoreCtx {
-                    source,
-                    pending: None,
-                    ring: VecDeque::new(),
-                    batch,
-                    route: 0,
-                    ready_at: 0,
-                    remaining: self.budget,
-                    finish: 0,
-                    serviced: 0,
-                };
-                c.fetch();
-                c
-            })
-            .collect();
-
-        {
-            // The retained sorted-vec admission reference (differential
-            // oracle): re-collect and re-sort every pending arrival per
-            // decision, route at admission time, scan every channel for
-            // the next service. Kept verbatim from before the
-            // incremental arrival set. Checkpointing lives only on the
-            // optimized loops ([`Session::run_until`]); this oracle has
-            // no pause point.
-            let mut arrivals: Vec<(u64, usize)> = Vec::with_capacity(cores.len());
-            loop {
-                arrivals.clear();
-                for (i, c) in cores.iter().enumerate() {
-                    if let Some(&(_, issue)) = c.pending.as_ref() {
-                        arrivals.push((issue, i));
-                    }
-                }
-                arrivals.sort_unstable();
-                // Admit the earliest issuable request whose routed channel
-                // can take it — each channel's scheduler must see all of its
-                // arrived traffic before committing a command. (A blocked
-                // channel is never empty, so the service arm below always
-                // makes progress towards unblocking it.)
-                let mut admitted = None;
-                for &(issue, i) in &arrivals {
-                    let ch = if single_channel {
-                        0
-                    } else {
-                        let &(req, _) = cores[i].pending.as_ref().expect("pending checked");
-                        system.route(req.addr)
-                    };
-                    if system.admissible_uncached(ch, issue) {
-                        admitted = Some((i, ch));
-                        break;
-                    }
-                }
-                if let Some((i, ch)) = admitted {
-                    let (req, issue) = cores[i].pending.take().expect("pending checked");
-                    system.push_to(ch, req, i as u32, issue);
-                    continue;
-                }
-                let Some(ch) = system.earliest_ready_uncached() else {
-                    break;
-                };
-                let c = system
-                    .service_channel(ch)
-                    .expect("earliest-ready channel is non-empty");
-                if observe {
-                    for e in system.drain_events_global(ch) {
-                        if let Some(obs) = self.observer.as_deref_mut() {
-                            obs.on_event(&e);
-                        }
-                        if self.capture_events {
-                            events.push(e);
-                        }
-                    }
-                }
-                let core = &mut cores[c.core as usize];
-                // Blocking-miss core with an MLP overlap factor: the core
-                // absorbs 1/MLP of the memory stall.
-                let stall = match mlp_shift {
-                    Some(s) => (c.completion_ps - c.arrival_ps) >> s,
-                    None => (c.completion_ps - c.arrival_ps) / mlp,
-                };
-                core.ready_at = c.arrival_ps + stall;
-                core.finish = core.finish.max(c.completion_ps);
-                core.serviced += 1;
-                core.fetch();
+    pub fn run(self) -> RunReport {
+        match self.drive(None, None) {
+            Ok(SessionRun::Finished(report)) => report,
+            Ok(SessionRun::Paused(_)) | Err(_) => {
+                unreachable!("a run with no stop point neither pauses nor fails")
             }
         }
-
-        // The retained oracle exists only to cross-check admission order;
-        // it carries no telemetry hooks, so no report is collected here.
-        finish_report(self.scheme, system, &cores, events, None)
     }
 
     /// Runs until `stop_after` requests have been serviced system-wide,
@@ -690,14 +596,9 @@ impl Session<'_> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the reference admission oracle is active (its
-    /// retained loop has no pause point) or if any request source does
-    /// not support snapshotting ([`RequestSource::snapshot_state`]
-    /// returns `None`).
+    /// Returns an error if any request source does not support
+    /// snapshotting ([`RequestSource::snapshot_state`] returns `None`).
     pub fn run_until(self, stop_after: u64) -> Result<SessionRun, String> {
-        if REFERENCE_ADMISSION_DEFAULT.load(Ordering::SeqCst) {
-            return Err(REFERENCE_PAUSE_ERR.to_string());
-        }
         self.drive(None, Some(stop_after))
     }
 
@@ -712,12 +613,8 @@ impl Session<'_> {
     /// # Errors
     ///
     /// Returns an error on a malformed or structurally incompatible
-    /// checkpoint, if a request source does not support restore, or if
-    /// the reference admission oracle is active.
+    /// checkpoint, or if a request source does not support restore.
     pub fn resume(self, checkpoint: &Checkpoint) -> Result<RunReport, String> {
-        if REFERENCE_ADMISSION_DEFAULT.load(Ordering::SeqCst) {
-            return Err(REFERENCE_PAUSE_ERR.to_string());
-        }
         match self.drive(Some(checkpoint), None)? {
             SessionRun::Finished(report) => Ok(report),
             SessionRun::Paused(_) => unreachable!("no stop point requested"),
@@ -737,29 +634,41 @@ impl Session<'_> {
         checkpoint: &Checkpoint,
         stop_after: u64,
     ) -> Result<SessionRun, String> {
-        if REFERENCE_ADMISSION_DEFAULT.load(Ordering::SeqCst) {
-            return Err(REFERENCE_PAUSE_ERR.to_string());
-        }
         self.drive(Some(checkpoint), Some(stop_after))
     }
 
-    /// The shared engine behind the optimized entry points: starts fresh
-    /// or from a checkpoint, runs the incremental admission loop, and
-    /// optionally pauses once `stop_after` requests have been serviced.
+    /// The one admission/service loop behind every entry point: starts
+    /// fresh or from a checkpoint, admits and serves until every source
+    /// is dry, and optionally pauses once `stop_after` requests have been
+    /// serviced.
+    ///
+    /// Pending arrivals live in one `(issue, core)` min-heap per channel,
+    /// filed under the channel the request routes to when the core
+    /// fetches it. Admissibility is monotone in the issue time per
+    /// channel (a full queue or a too-late arrival stays inadmissible
+    /// for every later arrival), so only a heap's head can be admitted,
+    /// and admitting to one channel never changes another's. Before each
+    /// service decision the loop drains every channel's admissible heads
+    /// in channel order: the same admissions, in the same per-channel
+    /// order, as the sorted-vec reference picking the global minimum
+    /// admissible arrival one at a time. With
+    /// [`set_reference_admission_default`] on, the heaps stay empty and
+    /// that reference ([`admit_reference`]) admits instead, with the
+    /// uncached earliest-ready scan choosing the service channel;
+    /// everything else (setup, service, stall model, telemetry, pause)
+    /// is shared.
     ///
     /// The pause check sits at the loop top — right after a service
-    /// decision's fetch and arrival push — where the loop invariant
-    /// holds: the arrival heap/set contains `(issue, core)` exactly for
-    /// the cores with a pending request. That is what lets resume
-    /// rebuild the arrivals from the restored pendings instead of
-    /// serializing the heap.
+    /// decision's fetch and arrival push — where the heaps hold
+    /// `(issue, core)` exactly for the cores with a pending request.
+    /// That is what lets resume rebuild them from the restored pendings
+    /// instead of serializing them.
     fn drive(
         mut self,
         resume: Option<&Checkpoint>,
         stop_after: Option<u64>,
     ) -> Result<SessionRun, String> {
         let mut system = System::new(self.cfg, self.scheme, self.policy, self.mapping, self.seed);
-        let single_channel = system.channel_count() == 1;
         let observe = self.observer.is_some() || self.capture_events;
         if observe {
             system.enable_event_log();
@@ -792,7 +701,6 @@ impl Session<'_> {
                 pending: None,
                 ring: VecDeque::new(),
                 batch,
-                route: 0,
                 ready_at: 0,
                 remaining: self.budget,
                 finish: 0,
@@ -817,113 +725,78 @@ impl Session<'_> {
         }
         let mut serviced_total: u64 = cores.iter().map(|c| c.serviced).sum();
 
-        if single_channel {
-            // Incremental single-channel admission: admissibility is
-            // monotone in the issue time (a full queue or a too-late
-            // arrival stays inadmissible for every later arrival), so
-            // only the *minimum* pending `(issue, core)` key can ever be
-            // admitted — a binary min-heap (contiguous, no tree nodes)
-            // beats an ordered set here, and peek is free. The heap pops
-            // exactly the key the reference's sorted scan would admit,
-            // so the admit order is identical step for step.
-            let mut arrivals: BinaryHeap<Reverse<(u64, usize)>> =
-                BinaryHeap::with_capacity(cores.len());
-            for (i, c) in cores.iter().enumerate() {
-                if let Some(&(_, issue)) = c.pending.as_ref() {
-                    arrivals.push(Reverse((issue, i)));
-                }
+        let reference = REFERENCE_ADMISSION_DEFAULT.load(Ordering::SeqCst);
+        let mut heaps: Vec<ArrivalHeap> = (0..system.channel_count())
+            .map(|_| BinaryHeap::with_capacity(cores.len()))
+            .collect();
+        let mut sorted: Vec<(u64, usize)> = Vec::new();
+        if !reference {
+            for i in 0..cores.len() {
+                queue_arrival(&system, &mut heaps, &cores, i);
             }
-            loop {
-                if stop_after.is_some_and(|k| serviced_total >= k) {
-                    let ckpt = snapshot_session(&system, &cores, &events, &stel)?;
-                    return Ok(SessionRun::Paused(ckpt));
+        }
+        loop {
+            if stop_after.is_some_and(|k| serviced_total >= k) {
+                let ckpt = snapshot_session(&system, &cores, &events, &stel)?;
+                return Ok(SessionRun::Paused(ckpt));
+            }
+            if reference {
+                while let Some((i, ch)) = admit_reference(&mut system, &cores, &mut sorted) {
+                    admit(&mut system, &mut cores, &mut stel, i, ch);
                 }
-                if let Some(&Reverse((issue, i))) = arrivals.peek() {
-                    if system.admissible(0, issue) {
-                        arrivals.pop();
-                        let (req, _) = cores[i].pending.take().expect("pending checked");
-                        if let Some(t) = stel.as_deref_mut() {
-                            t.admitted += 1;
-                            t.ring_depth.record(cores[i].ring.len() as u64);
+            } else {
+                for (ch, heap) in heaps.iter_mut().enumerate() {
+                    while let Some(&Reverse((issue, i))) = heap.peek() {
+                        if !system.admissible(ch, issue) {
+                            break;
                         }
-                        system.push_to(0, req, i as u32, issue);
-                        continue;
+                        heap.pop();
+                        admit(&mut system, &mut cores, &mut stel, i, ch);
                     }
-                }
-                let Some(idx) = service_step(
-                    &mut system,
-                    &mut cores,
-                    mlp,
-                    mlp_shift,
-                    &mut self.observer,
-                    self.capture_events,
-                    &mut events,
-                    &mut stel,
-                ) else {
-                    break;
-                };
-                serviced_total += 1;
-                if let Some(&(_, issue)) = cores[idx].pending.as_ref() {
-                    arrivals.push(Reverse((issue, idx)));
                 }
             }
-        } else {
-            // Incremental multi-channel admission: pending arrivals live
-            // in an ordered `(issue, core)` set mutated only when a core
-            // fetches or is admitted — O(log cores) per admit instead of
-            // a full re-sort per decision — with each pending request's
-            // routed channel cached at fetch time. A blocked channel
-            // must not starve another channel's admissible arrival, so
-            // the scan walks the set in order; iteration order is
-            // exactly the reference's sorted order, so the admitted
-            // request is identical step for step.
-            let mut arrivals: BTreeSet<(u64, usize)> = BTreeSet::new();
-            for (i, c) in cores.iter_mut().enumerate() {
-                if let Some(&(req, issue)) = c.pending.as_ref() {
-                    c.route = system.route(req.addr);
-                    arrivals.insert((issue, i));
+            let next = if reference {
+                system.earliest_ready_uncached()
+            } else {
+                system.earliest_ready()
+            };
+            let Some(ch) = next else {
+                break;
+            };
+            let c = system
+                .service_channel(ch)
+                .expect("earliest-ready channel is non-empty");
+            if observe {
+                for e in system.drain_events_global(ch) {
+                    if let Some(obs) = self.observer.as_deref_mut() {
+                        obs.on_event(&e);
+                    }
+                    if self.capture_events {
+                        events.push(e);
+                    }
                 }
             }
-            loop {
-                if stop_after.is_some_and(|k| serviced_total >= k) {
-                    let ckpt = snapshot_session(&system, &cores, &events, &stel)?;
-                    return Ok(SessionRun::Paused(ckpt));
+            let idx = c.core as usize;
+            let core = &mut cores[idx];
+            // Blocking-miss core with an MLP overlap factor: the core
+            // absorbs 1/MLP of the memory stall.
+            let stall = match mlp_shift {
+                Some(s) => (c.completion_ps - c.arrival_ps) >> s,
+                None => (c.completion_ps - c.arrival_ps) / mlp,
+            };
+            core.ready_at = c.arrival_ps + stall;
+            core.finish = core.finish.max(c.completion_ps);
+            core.serviced += 1;
+            core.fetch();
+            if let Some(t) = stel.as_deref_mut() {
+                t.note_service(c.completion_ps);
+                if core.pending.is_some() {
+                    t.generated += 1;
                 }
-                let mut admitted = None;
-                for &(issue, i) in &arrivals {
-                    let ch = cores[i].route;
-                    if system.admissible(ch, issue) {
-                        admitted = Some((issue, i, ch));
-                        break;
-                    }
-                }
-                if let Some((issue, i, ch)) = admitted {
-                    arrivals.remove(&(issue, i));
-                    let (req, _) = cores[i].pending.take().expect("pending checked");
-                    if let Some(t) = stel.as_deref_mut() {
-                        t.admitted += 1;
-                        t.ring_depth.record(cores[i].ring.len() as u64);
-                    }
-                    system.push_to(ch, req, i as u32, issue);
-                    continue;
-                }
-                let Some(idx) = service_step(
-                    &mut system,
-                    &mut cores,
-                    mlp,
-                    mlp_shift,
-                    &mut self.observer,
-                    self.capture_events,
-                    &mut events,
-                    &mut stel,
-                ) else {
-                    break;
-                };
-                serviced_total += 1;
-                if let Some(&(req, issue)) = cores[idx].pending.as_ref() {
-                    cores[idx].route = system.route(req.addr);
-                    arrivals.insert((issue, idx));
-                }
+            }
+            serviced_total += 1;
+            if !reference {
+                queue_arrival(&system, &mut heaps, &cores, idx);
             }
         }
 
@@ -1067,8 +940,7 @@ fn restore_session(
     r.finish()
 }
 
-/// Aggregates a completed run into its [`RunReport`] (shared by the
-/// optimized and reference loops).
+/// Aggregates a completed run into its [`RunReport`].
 fn finish_report(
     scheme: MitigationScheme,
     mut system: System,
@@ -1376,13 +1248,21 @@ mod tests {
     }
 
     #[test]
-    fn the_reference_admission_oracle_refuses_to_pause() {
-        // (Concurrent tests in this binary may observe the flag while
-        // it is set — they would take the reference path and produce
-        // identical reports, so the brief flip is benign.)
+    fn the_reference_admission_oracle_pauses_and_resumes_like_run() {
+        // The sorted-vec reference admits inside the one run loop, so it
+        // shares its pause point. (Concurrent tests in this binary may
+        // observe the flag while it is set — they would take the
+        // reference path and produce identical reports, so the brief
+        // flip is benign.)
+        let build = || Sim::ddr5().workload(&rate4(lbm()), 500).seed(7).build();
+        let straight = build().run();
         set_reference_admission_default(true);
-        let refused = Sim::ddr5().workload(&rate4(lbm()), 10).build().run_until(5);
+        let paused = build().run_until(100);
+        let resumed = match paused {
+            Ok(SessionRun::Paused(ckpt)) => build().resume(&ckpt),
+            other => Err(format!("a mid-run stop point must pause, got {other:?}")),
+        };
         set_reference_admission_default(false);
-        assert!(refused.unwrap_err().contains("no pause point"));
+        assert_eq!(resumed.expect("resume under the reference"), straight);
     }
 }

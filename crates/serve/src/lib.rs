@@ -589,6 +589,54 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_that_misses_the_core_count_fails_alone_on_one_worker() {
+        // A mix of four specs on eight cores used to panic inside the
+        // only worker and take the whole service down with it.
+        let input = [
+            Envelope::Submit {
+                id: 1,
+                spec: "workload = mix1\ncores = 8\nrequests = 50".to_string(),
+                seed_base: None,
+                timeout_ms: None,
+            }
+            .to_line(),
+            Envelope::Submit {
+                id: 2,
+                spec: "schemes = MINT\nworkloads = lbm+mcf\nrequests = 50".to_string(),
+                seed_base: None,
+                timeout_ms: None,
+            }
+            .to_line(),
+            Envelope::Submit {
+                id: 3,
+                spec: CELL.to_string(),
+                seed_base: None,
+                timeout_ms: None,
+            }
+            .to_line(),
+        ]
+        .join("\n");
+        let (summary, lines) = serve_lines(1, &input);
+        assert_eq!(summary.submitted, 3);
+        assert_eq!(lines.len(), 3);
+        for (line, needle) in [
+            (&lines[0], "mix1 lists 4 per-core specs for 8 cores"),
+            (&lines[1], "scenario line 2"),
+        ] {
+            assert!(line.contains("\"ok\":false"), "{line}");
+            assert!(line.contains(needle), "{line}");
+        }
+        let Scenario::Cell(cell) = parse_any(CELL).unwrap() else {
+            panic!("cell spec");
+        };
+        assert_eq!(
+            lines[2],
+            wire::ok_cell_line(3, &cell.scheme.label(), &cell.run().unwrap()),
+            "the worker survives and runs the next job"
+        );
+    }
+
+    #[test]
     fn telemetry_jobs_carry_stats_and_stats_verb_answers() {
         let telem_cell = format!("{CELL}\ntelemetry = on");
         let input = [

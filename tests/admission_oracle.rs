@@ -1,9 +1,10 @@
-//! Differential oracle for the Session's heap-based admission loop.
+//! Differential oracle for the Session's heap-based admission.
 //!
-//! The [`Session`](mint_memsys::Session) run loop keeps two admission
-//! implementations: the incremental default (a `BTreeSet` of
-//! `(issue_ps, core)` arrival keys over the [`System`] readiness cache)
-//! and the original sorted-vec scan, retained verbatim as the reference
+//! The one [`Session`](mint_memsys::Session) run loop keeps two
+//! admission implementations: the incremental default (one min-heap of
+//! `(issue_ps, core)` arrival keys per channel over the [`System`]
+//! readiness cache, each channel's admissible heads drained in channel
+//! order) and the original sorted-vec scan, retained as the reference
 //! (`set_reference_admission_default`). This suite runs **identical
 //! random multi-core, multi-channel scenarios under both loops** —
 //! across core counts, channel counts, queue depths, schemes, policies
